@@ -9,9 +9,15 @@
 
 use provbench_query::{Bindings, Solutions};
 use provbench_rdf::Term;
+use std::fmt::Write;
 
 /// Escape a string for inclusion in a JSON string literal.
 fn json_escape(s: &str, out: &mut String) {
+    // Terms rarely need escaping: copy those in one go.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -148,12 +154,15 @@ impl TsvRowsWriter {
     /// Append one solution row (unbound variables serialize empty).
     pub fn push(&mut self, row: &Bindings) {
         self.rows += 1;
-        let cells: Vec<String> = self
-            .variables
-            .iter()
-            .map(|v| row.get(v).map_or(String::new(), |t| t.to_string()))
-            .collect();
-        self.out.push_str(&cells.join("\t"));
+        for (i, v) in self.variables.iter().enumerate() {
+            if i > 0 {
+                self.out.push('\t');
+            }
+            if let Some(t) = row.get(v) {
+                // Writing into a `String` cannot fail.
+                let _ = write!(self.out, "{t}");
+            }
+        }
         self.out.push('\n');
     }
 

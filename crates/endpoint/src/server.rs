@@ -399,6 +399,51 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// How long the acceptor waits for a connection before it re-checks the
+/// shutdown flag and the drain, and the drain's own polling interval.
+const POLL: Duration = Duration::from_millis(2);
+
+/// Wait until `listener` has a connection to accept, at most `timeout`.
+/// Returns early on any wake-up, including a signal (`EINTR`), so the
+/// caller simply retries its nonblocking `accept`.
+#[cfg(target_os = "linux")]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::os::raw::{c_int, c_short, c_ulong};
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    // `nfds_t` is `unsigned long` on Linux.
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one valid `pollfd` that outlives the call, and
+    // `nfds` is 1; `poll` writes only its `revents` field.
+    let ready = unsafe { poll(&mut fd, 1, millis) };
+    if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+        // An unexpected failure must not turn the loop into a spin.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Platforms without the `poll` binding keep the fixed sleep.
+#[cfg(not(target_os = "linux"))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 /// A shutdown request shared between the serving loop and whoever
 /// triggers it — a signal handler, a test, or an embedder's control
 /// plane. Cloning shares the flag.
@@ -1049,10 +1094,13 @@ SELECT ?run ?start WHERE {{
         listener: TcpListener,
         shutdown: &ShutdownSignal,
     ) -> io::Result<()> {
-        // Nonblocking accept so the loop observes the shutdown flag
-        // promptly (a signal cannot wake a blocking accept portably).
+        // Wait for the listener to become readable, at most `POLL`,
+        // instead of blocking in `accept`: a connection is accepted as
+        // soon as it arrives, and the loop still re-checks the shutdown
+        // flag and the drain every `POLL` (a signal cannot wake a
+        // blocking accept portably). The accept stays nonblocking, so a
+        // spurious readiness report cannot park the loop.
         listener.set_nonblocking(true)?;
-        const POLL: Duration = Duration::from_millis(2);
         let (tx, rx) = sync_channel::<Box<dyn Conn>>(self.config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let mut workers = Vec::with_capacity(self.config.workers.max(1));
@@ -1105,7 +1153,7 @@ SELECT ?run ?start WHERE {{
                         }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait_readable(&listener, POLL),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -2111,6 +2159,88 @@ mod tests {
             sample(&rendered, "provbench_shutdown_drain_seconds_count"),
             1,
             "{rendered}"
+        );
+    }
+
+    /// Deeply nested hostile queries are parse errors, not a stack
+    /// overflow that aborts the serving process.
+    #[test]
+    fn deeply_nested_query_is_a_400_and_the_server_survives() {
+        let ep = endpoint_with(ServerConfig::new().workers(1));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownSignal::new();
+        let signal = shutdown.clone();
+        let server = ep.clone();
+        let serving = std::thread::spawn(move || server.serve_with_shutdown(listener, &signal));
+        let send = |raw: String| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        };
+
+        let parens = format!(
+            "SELECT ?s WHERE {{ ?s ?p ?o FILTER({}?s{}) }}",
+            "(".repeat(3000),
+            ")".repeat(3000)
+        );
+        let braces = format!(
+            "SELECT ?s WHERE {}?s ?p ?o{}",
+            "{".repeat(3000),
+            "}".repeat(3000)
+        );
+        for body in [parens, braces] {
+            let r = send(format!(
+                "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ));
+            assert!(r.starts_with("HTTP/1.1 400"), "{r}");
+            assert!(r.contains("{\"error\":\"parse\""), "{r}");
+            assert!(r.contains("nesting deeper than"), "{r}");
+        }
+        let r = send("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_string());
+        assert!(r.starts_with("HTTP/1.1 200"), "{r}");
+        shutdown.request();
+        serving.join().unwrap().unwrap();
+    }
+
+    /// A connection that arrives while the acceptor is idle is accepted
+    /// on arrival, not at the acceptor's next `POLL` wake-up: after an
+    /// idle gap longer than `POLL`, a sleeping acceptor would add about
+    /// a millisecond to every round trip.
+    #[test]
+    fn idle_acceptor_accepts_on_arrival() {
+        let ep = endpoint();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownSignal::new();
+        let signal = shutdown.clone();
+        let server = ep.clone();
+        let serving = std::thread::spawn(move || server.serve_with_shutdown(listener, &signal));
+
+        let gap = POLL + POLL / 4;
+        let mut round_trips: Vec<Duration> = (0..50)
+            .map(|_| {
+                std::thread::sleep(gap);
+                let start = Instant::now();
+                let mut stream = TcpStream::connect(addr).unwrap();
+                write!(stream, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+                let mut response = String::new();
+                stream.read_to_string(&mut response).unwrap();
+                assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+                start.elapsed()
+            })
+            .collect();
+        shutdown.request();
+        serving.join().unwrap().unwrap();
+
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < POLL / 2,
+            "median round trip {median:?} after an idle gap of {gap:?} (POLL = {POLL:?})"
         );
     }
 }

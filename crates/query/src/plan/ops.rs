@@ -28,11 +28,11 @@
 use super::{ExecCtx, OPERATOR_SECONDS};
 use crate::sparql::ast::OrderKey;
 use crate::sparql::eval::{
-    bind_slot, compare_terms, effective_boolean, eval_expr, eval_pattern, slot_term, Bindings,
-    EvalCtx, IdRow, QueryError, RExpr, RPattern, RPos, RTriple, UNBOUND,
+    bind_slot, compare_terms, effective_boolean, eval_expr, eval_pattern, extend_optional,
+    slot_term, Bindings, EvalCtx, IdRow, QueryError, RExpr, RPattern, RPos, RTriple, UNBOUND,
 };
 use provbench_obs::LATENCY_BUCKETS;
-use provbench_rdf::TermId;
+use provbench_rdf::{Term, TermId};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -206,11 +206,8 @@ impl<'g> IdOperator<'g> for OptionalOp<'g> {
                 graph: cx.graph,
                 reorder: cx.reorder,
             };
-            let extended = eval_pattern(&ctx, &mut cx.state, &self.inner, vec![row.clone()])?;
-            if extended.is_empty() {
-                cx.state.charge()?;
-                return Ok(Some(row));
-            }
+            let mut extended = Vec::new();
+            extend_optional(&ctx, &mut cx.state, &self.inner, row, &mut extended)?;
             self.buf = extended.into_iter();
         }
     }
@@ -431,13 +428,15 @@ impl<'g> OrderByOp<'g> {
 impl<'g> SolOperator<'g> for OrderByOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
         if self.sorted.is_none() {
-            let mut rows = Vec::new();
+            // Look each row's sort keys up once, not once per comparison.
+            let mut keyed = Vec::new();
             while let Some(r) = self.child.next(cx)? {
-                rows.push(r);
+                let keys: Vec<Option<Term>> =
+                    self.keys.iter().map(|k| r.get(&k.var).cloned()).collect();
+                keyed.push((keys, r));
             }
-            rows.sort_by(|a, b| {
-                for key in &self.keys {
-                    let (x, y) = (a.get(&key.var), b.get(&key.var));
+            keyed.sort_by(|(a, _), (b, _)| {
+                for ((x, y), key) in a.iter().zip(b).zip(&self.keys) {
                     let ord = match (x, y) {
                         (None, None) => std::cmp::Ordering::Equal,
                         (None, Some(_)) => std::cmp::Ordering::Less,
@@ -453,6 +452,7 @@ impl<'g> SolOperator<'g> for OrderByOp<'g> {
                 }
                 std::cmp::Ordering::Equal
             });
+            let rows: Vec<Bindings> = keyed.into_iter().map(|(_, r)| r).collect();
             self.sorted = Some(rows.into_iter());
         }
         Ok(self.sorted.as_mut().and_then(|it| it.next()))

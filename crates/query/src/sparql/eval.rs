@@ -625,34 +625,84 @@ fn join_triple(
     input: Vec<IdRow>,
 ) -> Result<Vec<IdRow>, QueryError> {
     let mut out = Vec::new();
-    for row in input {
-        let resolve = |pos: &RPos| -> Option<Option<TermId>> {
-            // Outer None = can't match; inner None = wildcard scan.
-            match pos {
-                RPos::Const(id) => Some(Some(*id)),
-                RPos::Missing => None,
-                RPos::Var(v) => Some(if row[*v] == UNBOUND {
-                    None
-                } else {
-                    Some(TermId::from_u32(row[*v]))
-                }),
-            }
-        };
-        let (Some(s), Some(p), Some(o)) = (resolve(&tp.s), resolve(&tp.p), resolve(&tp.o)) else {
-            continue;
-        };
-        for (sid, pid, oid) in ctx.graph.ids_matching(s, p, o) {
-            let mut nb = row.clone();
-            if bind_slot(&mut nb, &tp.s, sid)
-                && bind_slot(&mut nb, &tp.p, pid)
-                && bind_slot(&mut nb, &tp.o, oid)
-            {
-                state.charge()?;
-                out.push(nb);
-            }
-        }
+    for row in &input {
+        probe_triple(ctx, state, tp, row, &mut out)?;
     }
     Ok(out)
+}
+
+/// Append to `out` every extension of `row` by a match of `tp`.
+fn probe_triple(
+    ctx: &EvalCtx<'_>,
+    state: &mut EvalState<'_>,
+    tp: &RTriple,
+    row: &IdRow,
+    out: &mut Vec<IdRow>,
+) -> Result<(), QueryError> {
+    let resolve = |pos: &RPos| -> Option<Option<TermId>> {
+        // Outer None = can't match; inner None = wildcard scan.
+        match pos {
+            RPos::Const(id) => Some(Some(*id)),
+            RPos::Missing => None,
+            RPos::Var(v) => Some(if row[*v] == UNBOUND {
+                None
+            } else {
+                Some(TermId::from_u32(row[*v]))
+            }),
+        }
+    };
+    let (Some(s), Some(p), Some(o)) = (resolve(&tp.s), resolve(&tp.p), resolve(&tp.o)) else {
+        return Ok(());
+    };
+    for (sid, pid, oid) in ctx.graph.ids_matching(s, p, o) {
+        let mut nb = row.clone();
+        if bind_slot(&mut nb, &tp.s, sid)
+            && bind_slot(&mut nb, &tp.p, pid)
+            && bind_slot(&mut nb, &tp.o, oid)
+        {
+            state.charge()?;
+            out.push(nb);
+        }
+    }
+    Ok(())
+}
+
+/// `OPTIONAL` for one input row: append the row's extensions by
+/// `inner` to `out`, or the row itself when there are none. An inner
+/// pattern of a single triple (the common `OPTIONAL { ?x p ?y }`) is
+/// probed directly rather than through a one-row evaluation.
+pub(crate) fn extend_optional(
+    ctx: &EvalCtx<'_>,
+    state: &mut EvalState<'_>,
+    inner: &RPattern,
+    row: IdRow,
+    out: &mut Vec<IdRow>,
+) -> Result<(), QueryError> {
+    let before = out.len();
+    match single_triple(inner) {
+        Some(tp) => probe_triple(ctx, state, tp, &row, out)?,
+        None => out.extend(eval_pattern(ctx, state, inner, vec![row.clone()])?),
+    }
+    if out.len() == before {
+        state.charge()?;
+        out.push(row);
+    }
+    Ok(())
+}
+
+/// The triple pattern `pattern` consists of, through groups of one.
+fn single_triple(pattern: &RPattern) -> Option<&RTriple> {
+    match pattern {
+        RPattern::Basic(tps) => match tps.as_slice() {
+            [tp] => Some(tp),
+            _ => None,
+        },
+        RPattern::Group(elems) => match elems.as_slice() {
+            [only] => single_triple(only),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 pub(crate) fn eval_pattern(
@@ -692,15 +742,9 @@ pub(crate) fn eval_pattern(
             Ok(current)
         }
         RPattern::Optional(inner) => {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(input.len());
             for row in input {
-                let extended = eval_pattern(ctx, state, inner, vec![row.clone()])?;
-                if extended.is_empty() {
-                    state.charge()?;
-                    out.push(row);
-                } else {
-                    out.extend(extended);
-                }
+                extend_optional(ctx, state, inner, row, &mut out)?;
             }
             Ok(out)
         }
@@ -1307,6 +1351,57 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.get(0, "start").is_some()); // r1
         assert!(s.get(2, "start").is_none()); // r3
+    }
+
+    /// A single-triple OPTIONAL is probed directly; adding a no-op
+    /// FILTER sends the same pattern through the general one-row
+    /// evaluation. Rows, their order and row-budget charges must agree.
+    #[test]
+    fn single_triple_optional_probe_matches_general_path() {
+        let shapes = [
+            "?r a e:Run OPTIONAL { ?r e:by ?w INNER }",
+            "?r a e:Run OPTIONAL { ?r ?p ?w INNER }",
+            "?r a e:Run OPTIONAL { ?r e:of ?r INNER }",
+            "?r a e:Run OPTIONAL { e:r1 e:by ?w INNER }",
+            "{ ?r a e:Run OPTIONAL { ?r e:start ?w INNER } } UNION { ?r a e:Template OPTIONAL { ?x e:of ?r INNER } }",
+        ];
+        let g = graph();
+        for shape in shapes {
+            let text = |inner: &str| {
+                let q = shape.replace("INNER", inner);
+                parse_query(&format!("PREFIX e: <http://e/> SELECT * WHERE {{ {q} }}")).unwrap()
+            };
+            let (direct, general) = (text(""), text("FILTER (1 = 1)"));
+            let expected = run(&g, &general, &EvalOptions::default(), None).unwrap();
+            assert_eq!(
+                run(&g, &direct, &EvalOptions::default(), None).unwrap(),
+                expected,
+                "{shape}"
+            );
+            for budget in 0..24 {
+                let opts = EvalOptions::default().with_row_budget(budget);
+                assert_eq!(
+                    run(&g, &direct, &opts, None).is_ok(),
+                    run(&g, &general, &opts, None).is_ok(),
+                    "{shape} at a budget of {budget}"
+                );
+            }
+        }
+        // An inner pattern of more than one triple, or a triple and a
+        // FILTER, is not probed as its first triple alone.
+        for shape in [
+            "?r a e:Run OPTIONAL { ?r e:size ?s FILTER (?s < 3) }",
+            "?r a e:Run OPTIONAL { ?r e:start ?s . ?r e:by e:bob }",
+        ] {
+            let q = parse_query(&format!(
+                "PREFIX e: <http://e/> SELECT ?r ?s WHERE {{ {shape} }}"
+            ))
+            .unwrap();
+            let s = run(&g, &q, &EvalOptions::default(), None).unwrap();
+            assert_eq!(s.len(), 3, "{shape}");
+            let bound = s.rows.iter().filter(|r| r.contains_key("s")).count();
+            assert_eq!(bound, 1, "{shape}");
+        }
     }
 
     #[test]

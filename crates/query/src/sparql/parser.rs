@@ -54,10 +54,19 @@ impl From<LexError> for QueryParseError {
     }
 }
 
+/// Deepest nesting of group patterns, parenthesised or function-call
+/// expressions and `!` chains a query may use. Each level costs the
+/// recursive-descent parser stack frames, so unbounded nesting would let
+/// one request overflow the stack of the thread parsing it; the paper's
+/// exemplar queries nest a few levels.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     prefixes: PrefixMap,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 type PResult<T> = Result<T, QueryParseError>;
@@ -115,6 +124,18 @@ impl Parser {
         } else {
             self.err(format!("expected {kw}, found {:?}", self.peek()))
         }
+    }
+
+    /// Run `parse` one nesting level deeper, failing at the current
+    /// token once the depth would exceed [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn expand(&self, prefix: &str, local: &str) -> PResult<Iri> {
@@ -330,6 +351,10 @@ impl Parser {
     }
 
     fn parse_group_graph_pattern(&mut self) -> PResult<GraphPattern> {
+        self.nested(Self::parse_group_graph_pattern_body)
+    }
+
+    fn parse_group_graph_pattern_body(&mut self) -> PResult<GraphPattern> {
         self.expect(&Tok::OpenBrace, "`{`")?;
         let mut elements: Vec<GraphPattern> = Vec::new();
         loop {
@@ -481,6 +506,10 @@ impl Parser {
     }
 
     fn parse_expression(&mut self) -> PResult<Expression> {
+        self.nested(Self::parse_or_expression)
+    }
+
+    fn parse_or_expression(&mut self) -> PResult<Expression> {
         let mut left = self.parse_and_expression()?;
         while matches!(self.peek(), Tok::OrOr) {
             self.bump();
@@ -519,7 +548,7 @@ impl Parser {
     fn parse_unary_expression(&mut self) -> PResult<Expression> {
         if matches!(self.peek(), Tok::Bang) {
             self.bump();
-            let inner = self.parse_unary_expression()?;
+            let inner = self.nested(Self::parse_unary_expression)?;
             return Ok(Expression::Not(Box::new(inner)));
         }
         self.parse_primary_expression()
@@ -636,6 +665,7 @@ pub fn parse_query(input: &str) -> Result<Query, QueryParseError> {
         toks,
         pos: 0,
         prefixes: PrefixMap::common(),
+        depth: 0,
     };
     p.parse_query()
 }
@@ -789,6 +819,38 @@ mod tests {
         let e = parse_query("SELECT @").unwrap_err();
         assert_eq!((e.line, e.column), (1, 8));
         assert_eq!((e.end_line, e.end_column), (1, 8));
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_spanned_error() {
+        let parens = |n: usize| {
+            format!(
+                "SELECT ?x WHERE {{ ?x ?p ?o FILTER({}?x{}) }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let braces =
+            |n: usize| format!("SELECT ?x WHERE {}?x ?p ?o{}", "{".repeat(n), "}".repeat(n));
+        let nots = |n: usize| {
+            format!(
+                "SELECT ?x WHERE {{ ?x ?p ?o FILTER(!{}?x) }}",
+                "!".repeat(n)
+            )
+        };
+        // Just inside the limit parses; hostile depths fail cleanly with
+        // the offending token's span instead of exhausting the stack.
+        assert!(parse_query(&parens(MAX_NESTING - 2)).is_ok());
+        assert!(parse_query(&braces(MAX_NESTING)).is_ok());
+        assert!(parse_query(&nots(MAX_NESTING - 3)).is_ok());
+        for query in [parens(3000), braces(3000), nots(3000)] {
+            let e = parse_query(&query).unwrap_err();
+            assert!(e.message.contains("nesting deeper than 128"), "{e}");
+            assert_eq!(e.line, 1);
+            assert!(e.end_column > e.column, "{e:?}");
+        }
+        let e = parse_query(&braces(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.column, 17 + MAX_NESTING, "{e}");
     }
 
     #[test]
