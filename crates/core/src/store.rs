@@ -1271,6 +1271,48 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A source nested 100 000 levels deep — enough to overflow the
+    /// loader's stack without the parser's nesting bound — is quarantined
+    /// with its position, Turtle and TriG alike, and the rest loads.
+    #[test]
+    fn deeply_nested_file_is_quarantined_and_the_rest_loads() {
+        let corpus = small_corpus();
+        let dir = tmpdir("deep");
+        save(&corpus, &dir).unwrap();
+        let files = collect_corpus_files(&dir).unwrap();
+        let turtle = files
+            .iter()
+            .find(|f| f.kind == FileKind::TraceTurtle)
+            .unwrap();
+        let trig = files
+            .iter()
+            .find(|f| f.kind == FileKind::TraceTrig)
+            .unwrap();
+        let deep = |open: &str| format!("<http://e/s> <http://e/p>\n{}", open.repeat(100_000));
+        fs::write(&turtle.path, deep("(")).unwrap();
+        fs::write(&trig.path, format!("{{ {} }}", deep("[ <http://e/p> "))).unwrap();
+
+        let store = CorpusStore::build(&dir, 2).unwrap();
+        assert_eq!(store.ingest.attempted, files.len());
+        assert_eq!(store.corpus.traces.len(), corpus.traces.len() - 2);
+        let mut quarantined: Vec<&str> = store
+            .ingest
+            .errors
+            .iter()
+            .map(|e| e.path.as_str())
+            .collect();
+        quarantined.sort_unstable();
+        let mut victims = [turtle.rel.as_str(), trig.rel.as_str()];
+        victims.sort_unstable();
+        assert_eq!(quarantined, victims);
+        for e in &store.ingest.errors {
+            assert_eq!(e.line, Some(2), "{e}");
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+            assert!(!e.io);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn snapshot_write_leaves_no_temp_and_survives_stale_litter() {
         let corpus = small_corpus();

@@ -77,11 +77,6 @@ pub struct ServerConfig {
     /// Per-request cap on intermediate rows — a deterministic cost
     /// bound that trips even when the clock barely advances.
     pub(crate) row_budget: Option<u64>,
-    /// Worker threads for each request's query evaluation (`1` =
-    /// serial, `0` = one per core capped at 8). Results are
-    /// byte-identical regardless of the setting; see
-    /// [`EvalOptions::with_jobs`].
-    pub(crate) eval_jobs: usize,
     /// Parsed query plans cached by query text (LRU).
     pub(crate) plan_cache_size: usize,
     /// Total budget for receiving one request, enforced as a deadline
@@ -122,7 +117,6 @@ impl ServerConfig {
             queue_depth: 32,
             query_timeout: Duration::from_secs(10),
             row_budget: Some(50_000_000),
-            eval_jobs: 1,
             plan_cache_size: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -158,12 +152,11 @@ impl ServerConfig {
         self
     }
 
-    /// Worker threads for each request's query evaluation (`1` =
-    /// serial, `0` = one per core capped at 8). Keep the product of
-    /// `workers` and `eval_jobs` near the core count to avoid
-    /// oversubscription under load.
-    pub fn eval_jobs(mut self, jobs: usize) -> Self {
-        self.eval_jobs = jobs;
+    /// Does nothing: each request is evaluated serially, and requests
+    /// run in parallel on the `workers` pool. Kept so existing callers
+    /// still build.
+    #[deprecated(note = "evaluation is serial; this setting is ignored")]
+    pub fn eval_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -768,14 +761,13 @@ impl Endpoint {
         Response::status(200)
             .content_type("application/json")
             .body(format!(
-                "{{\"triples\":{},\"terms\":{},\"cached_plans\":{},\"eval_jobs\":{},\
+                "{{\"triples\":{},\"terms\":{},\"cached_plans\":{},\
                  \"rows_emitted_total\":{rows_emitted},\
                  \"ready\":{},\"rebuilding\":{},\"panics_total\":{},\
                  \"ingest_errors\":{},\"lint_errors\":{}{source}}}",
                 graph.len(),
                 graph.term_count(),
                 self.cached_plans(),
-                self.config.eval_jobs,
                 self.is_ready(),
                 self.health.rebuilding.load(Ordering::SeqCst),
                 self.panics_total(),
@@ -822,9 +814,7 @@ impl Endpoint {
             .map(Duration::from_millis)
             .filter(|t| *t < self.config.query_timeout)
             .unwrap_or(self.config.query_timeout);
-        let mut opts = EvalOptions::default()
-            .with_timeout(timeout)
-            .with_jobs(self.config.eval_jobs);
+        let mut opts = EvalOptions::default().with_timeout(timeout);
         opts.row_budget = self.config.row_budget;
         opts
     }
@@ -1719,28 +1709,6 @@ mod tests {
         assert_eq!(ep.panics_total(), 0);
     }
 
-    /// `eval_jobs` flows from the config into each request's
-    /// `EvalOptions` and is surfaced by `/stats`; results match the
-    /// serial default byte for byte.
-    #[test]
-    fn eval_jobs_config_flows_into_requests() {
-        let parallel = endpoint_with(ServerConfig::new().eval_jobs(4));
-        let serial = endpoint();
-        assert_eq!(parallel.config().eval_jobs, 4);
-
-        let r = parallel.handle(&request("GET /stats HTTP/1.1\r\n\r\n"));
-        assert!(r.body.contains("\"eval_jobs\":4"), "{}", r.body);
-
-        let q = crate::http::url_encode(
-            "PREFIX wfprov: <http://purl.org/wf4ever/wfprov#> SELECT ?r WHERE { ?r a wfprov:WorkflowRun }",
-        );
-        let raw = format!("GET /sparql?query={q} HTTP/1.1\r\n\r\n");
-        let a = parallel.handle(&request(&raw));
-        let b = serial.handle(&request(&raw));
-        assert_eq!(a.status, 200, "{}", a.body);
-        assert_eq!(a.body, b.body);
-    }
-
     #[test]
     fn healthz_always_answers() {
         let ep = endpoint();
@@ -2115,16 +2083,17 @@ mod tests {
         let server = ep.clone();
         let serving = std::thread::spawn(move || server.serve_with_shutdown(listener, &signal));
 
-        // Occupy a worker with a query slow enough to outlive the
-        // shutdown request.
-        let slow = crate::http::url_encode(
-            "SELECT (COUNT(*) AS ?n) WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }",
-        );
+        // Occupy a worker until the drain is under way, however fast
+        // the build: while the test holds the plan cache, a query that
+        // was admitted before the shutdown blocks in its plan lookup.
+        let plans = lock(&ep.plans);
+        let query =
+            crate::http::url_encode("SELECT (COUNT(*) AS ?n) WHERE { ?a ?b ?c . ?d ?e ?f }");
         let inflight = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
             write!(
                 stream,
-                "GET /sparql?query={slow} HTTP/1.1\r\nHost: t\r\n\r\n"
+                "GET /sparql?query={query} HTTP/1.1\r\nHost: t\r\n\r\n"
             )
             .unwrap();
             let mut response = String::new();
@@ -2145,6 +2114,7 @@ mod tests {
         assert!(readyz.contains("\"draining\":true"), "{readyz}");
 
         // The in-flight query still completes, byte-complete.
+        drop(plans);
         let response = inflight.join().unwrap();
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         let body = response.split("\r\n\r\n").nth(1).unwrap_or("");

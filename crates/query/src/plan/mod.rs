@@ -3,19 +3,20 @@
 //! The evaluator's resolved pattern tree is lowered into a pipeline of
 //! pull-based operators ([`ops`]) rooted in a [`Rows`] iterator — the
 //! streaming half of the engine API ([`PreparedQuery::rows`] returns
-//! one; `select()` is a collect over it). Lowering preserves the
-//! planner-chosen join order of every BGP, and a full drain of the
-//! pipeline is byte-identical to the old materialize-everything
-//! evaluator — including the parallel path, which still evaluates
-//! eagerly into per-worker chunks and drains them in chunk order.
-//! What streaming adds is early termination: `LIMIT k` stops pulling
-//! (and therefore scanning) after `k` rows, and `ASK` after the first.
+//! one; `select()` is a collect over it). This is the only evaluator:
+//! every BGP join, OPTIONAL and UNION runs through these operators.
+//! Lowering happens once per evaluation and keeps the planner-chosen
+//! join order of every BGP; each OPTIONAL inner pattern and UNION arm
+//! becomes an operator chain of its own, re-opened over each input
+//! rather than re-planned. Streaming gives early termination: `LIMIT k`
+//! stops pulling (and therefore scanning) after `k` rows, and `ASK`
+//! after the first.
 //!
 //! Pipeline shape, bottom to top:
 //!
 //! ```text
-//! Seed → (Scan → IndexedJoin* | Chunks) → Filter/Optional/Union*   id space
-//!      → Project | Aggregate → Distinct → OrderBy → Slice → AskGate solution space
+//! Replay → Scan → IndexedJoin* → Filter/Optional/Union*             id space
+//!        → Project | Aggregate → Distinct → OrderBy → Slice → AskGate solution space
 //! ```
 //!
 //! Pipeline breakers — operators that must see their whole input
@@ -29,13 +30,13 @@ pub(crate) mod ops;
 
 use crate::sparql::ast::{GraphPattern, Projection, Query, QueryForm, VarOrIri, VarOrTerm};
 use crate::sparql::eval::{
-    apply_aggregates, estimate, eval_parallel_chunks, plan_bgp, plan_tp_of_ast,
-    plan_tp_of_resolved, resolve, Bindings, EvalCtx, EvalOptions, EvalState, PlanTp, QueryError,
-    RPattern, RTriple, Resolved, Solutions, VarTable, UNBOUND,
+    apply_aggregates, estimate, plan_bgp, plan_tp_of_ast, plan_tp_of_resolved, resolve, Bindings,
+    EvalOptions, EvalState, IdRow, PlanTp, QueryError, RPattern, RTriple, Resolved, Solutions,
+    VarTable, UNBOUND,
 };
 use ops::{
-    AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, ChunksOp, DistinctOp, FilterOp, JoinOp,
-    MaterialOp, OptionalOp, OrderByOp, ProjectOp, SeedOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
+    AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
+    OrderByOp, ProjectOp, ReplayOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
 };
 use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::Graph;
@@ -56,13 +57,10 @@ pub const ROWS_EMITTED_TOTAL: &str = "provbench_query_rows_emitted_total";
 pub const OPERATOR_SECONDS: &str = "provbench_query_operator_seconds";
 
 /// Shared execution context threaded through every operator: the graph,
-/// the planner toggle (OPTIONAL/UNION subtrees re-plan their inner
-/// BGPs), the deadline/row-budget accounting, and the optional span
-/// registry.
+/// the deadline/row-budget accounting, and the optional span registry.
 pub(crate) struct ExecCtx<'g> {
     pub(crate) graph: &'g Graph,
-    pub(crate) reorder: bool,
-    pub(crate) state: EvalState<'static>,
+    pub(crate) state: EvalState,
     pub(crate) spans: Option<&'g Registry>,
 }
 
@@ -97,20 +95,27 @@ fn maybe_span_sol<'g>(op: BoxSolOp<'g>, name: &'static str, spans: bool) -> BoxS
     }
 }
 
-/// Lower the resolved pattern spine into the id-space operator chain,
-/// each BGP's joins in the same planner order the recursive evaluator
-/// would pick.
-fn lower_spine<'g>(
+/// Lower `pattern` into an id-space operator chain over a [`ReplayOp`]
+/// leaf holding `input`. Nested groups flatten into sequential stages,
+/// and each BGP's joins run in planner order — an order that depends on
+/// the pattern and the graph, never on the input rows, so planning once
+/// here serves every input the chain is re-opened with. Each OPTIONAL
+/// inner pattern and UNION arm is lowered the same way into a chain of
+/// its own, with no input until the enclosing operator re-opens it.
+/// `leading` names the first join a scan (from the seed row) rather
+/// than a join (probing with bound input), as `explain` renders it.
+fn lower<'g>(
     pattern: RPattern,
+    input: Vec<IdRow>,
+    mut leading: bool,
     graph: &'g Graph,
     reorder: bool,
-    nvars: usize,
     spans: bool,
 ) -> BoxIdOp<'g> {
+    let subtree = |pattern| lower(pattern, Vec::new(), false, graph, reorder, spans);
     let mut stages = Vec::new();
     flatten_owned(pattern, &mut stages);
-    let mut op: BoxIdOp<'g> = Box::new(SeedOp::new(nvars));
-    let mut leading = true;
+    let mut op: BoxIdOp<'g> = Box::new(ReplayOp::new(input));
     for stage in stages {
         match stage {
             RPattern::Basic(tps) => {
@@ -136,11 +141,13 @@ fn lower_spine<'g>(
             }
             RPattern::Optional(inner) => {
                 leading = false;
-                op = maybe_span_id(Box::new(OptionalOp::new(op, *inner)), "optional", spans);
+                let inner = subtree(*inner);
+                op = maybe_span_id(Box::new(OptionalOp::new(op, inner)), "optional", spans);
             }
             RPattern::Union(l, r) => {
                 leading = false;
-                op = maybe_span_id(Box::new(UnionOp::new(op, *l, *r)), "union", spans);
+                let (l, r) = (subtree(*l), subtree(*r));
+                op = maybe_span_id(Box::new(UnionOp::new(op, l, r)), "union", spans);
             }
             RPattern::Group(_) => unreachable!("flatten_owned removed groups"),
         }
@@ -178,10 +185,9 @@ struct Built<'g> {
 
 /// Resolve, plan and lower `query` into an executable pipeline.
 ///
-/// Pipeline breakers run here, at construction: the parallel path (its
-/// chunks are evaluated eagerly on worker threads and drained in
-/// order), aggregation, and `SELECT *`'s header scan. Everything else
-/// is deferred to the first `next()` pull.
+/// Pipeline breakers run here, at construction: aggregation and
+/// `SELECT *`'s header scan. Everything else is deferred to the first
+/// `next()` pull.
 fn build<'g>(
     graph: &'g Graph,
     query: &Query,
@@ -195,27 +201,17 @@ fn build<'g>(
         aggregates,
     } = resolve(query, graph)?;
     let nvars = vars.names.len();
-    let ctx = EvalCtx {
-        graph,
-        reorder: opts.reorder_patterns,
-    };
     let mut cx = ExecCtx {
         graph,
-        reorder: opts.reorder_patterns,
         state: EvalState::new(opts),
         spans: if opts.operator_spans { metrics } else { None },
     };
     let spans = cx.spans.is_some();
 
-    // Id-row source: the parallel chunk drain when jobs and the pattern
-    // shape allow it, else the streaming pipeline lowered from the
-    // spine. The parallel path charges its rows through its own shared
-    // cost state — exactly as before — so `cx.state` only meters the
-    // serial streaming path.
-    let source: BoxIdOp<'g> = match eval_parallel_chunks(&ctx, opts, &pattern, nvars, metrics)? {
-        Some(chunks) => maybe_span_id(Box::new(ChunksOp::new(chunks)), "chunks", spans),
-        None => lower_spine(pattern, graph, opts.reorder_patterns, nvars, spans),
-    };
+    // Id-row source: the pipeline lowered from the pattern, over the one
+    // all-unbound seed row.
+    let seed = vec![vec![UNBOUND; nvars]];
+    let source = lower(pattern, seed, true, graph, opts.reorder_patterns, spans);
 
     let has_aggs = query.has_aggregates() || !query.group_by.is_empty();
     let variables: Vec<String>;
@@ -277,7 +273,7 @@ fn build<'g>(
         variables = names;
         let keep = keep_of(&variables, &vars);
         sol = maybe_span_sol(
-            Box::new(ProjectOp::new(Box::new(MaterialOp::new(id_rows)), keep)),
+            Box::new(ProjectOp::new(Box::new(ReplayOp::new(id_rows)), keep)),
             "project",
             spans,
         );
@@ -287,8 +283,8 @@ fn build<'g>(
         sol = maybe_span_sol(Box::new(ProjectOp::new(source, keep)), "project", spans);
     }
 
-    // Solution modifiers, in the same order the materializing evaluator
-    // applied them: DISTINCT → ORDER BY → OFFSET/LIMIT → ASK gate.
+    // Solution modifiers, in SPARQL's order: DISTINCT → ORDER BY →
+    // OFFSET/LIMIT → ASK gate.
     if query.distinct {
         sol = maybe_span_sol(Box::new(DistinctOp::new(sol)), "distinct", spans);
     }

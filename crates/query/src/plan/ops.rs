@@ -1,7 +1,7 @@
 //! Pull-based physical operators.
 //!
-//! Every operator exposes one method — `next()` — and pulls rows from
-//! its child on demand (the Volcano model). Nothing materializes unless
+//! Every operator produces rows through `next()`, pulling from its
+//! child on demand (the Volcano model). Nothing materializes unless
 //! an operator is a genuine pipeline breaker (`OrderBy`, aggregation,
 //! `SELECT *`'s data-dependent header), so a `LIMIT k` at the top of
 //! the pipeline stops the scans at the bottom after `k` rows and
@@ -11,25 +11,27 @@
 //! stages:
 //!
 //! - **Id operators** ([`IdOperator`]) stream compact [`IdRow`]s of
-//!   interned term ids: [`SeedOp`], [`JoinOp`] (a scan when its input
-//!   is the seed row, an indexed nested-loop join otherwise),
-//!   [`FilterOp`], [`OptionalOp`], [`UnionOp`], plus the buffered
-//!   sources [`ChunksOp`] (parallel chunk drain) and [`MaterialOp`].
+//!   interned term ids: [`ReplayOp`] (the leaf of every chain),
+//!   [`JoinOp`] (a scan when its input is the seed row, an indexed
+//!   nested-loop join otherwise), [`FilterOp`], [`OptionalOp`] and
+//!   [`UnionOp`]. An id-operator chain can be re-opened over new input
+//!   ([`IdOperator::open`]): that is how an OPTIONAL inner pattern runs
+//!   once per outer row and a UNION arm once over the union's input,
+//!   each lowered into operators once, when the plan is built.
 //! - **Solution operators** ([`SolOperator`]) stream decoded
 //!   [`Bindings`]: [`ProjectOp`], [`BufferedSolOp`], [`DistinctOp`],
 //!   [`OrderByOp`], [`SliceOp`], [`AskGateOp`].
 //!
 //! The split keeps joins in id space (term decode happens exactly once,
 //! at projection) and keeps the solution modifiers in the same order
-//! the materializing evaluator applied them — projection, DISTINCT,
-//! ORDER BY, OFFSET/LIMIT — so a full drain of the pipeline is
-//! byte-identical to the old `run()`.
+//! the SPARQL algebra applies them — projection, DISTINCT, ORDER BY,
+//! OFFSET/LIMIT.
 
 use super::{ExecCtx, OPERATOR_SECONDS};
 use crate::sparql::ast::OrderKey;
 use crate::sparql::eval::{
-    bind_slot, compare_terms, effective_boolean, eval_expr, eval_pattern, extend_optional,
-    slot_term, Bindings, EvalCtx, IdRow, QueryError, RExpr, RPattern, RPos, RTriple, UNBOUND,
+    bind_slot, compare_terms, effective_boolean, eval_expr, slot_term, Bindings, IdRow, QueryError,
+    RExpr, RPos, RTriple, UNBOUND,
 };
 use provbench_obs::LATENCY_BUCKETS;
 use provbench_rdf::{Term, TermId};
@@ -40,6 +42,11 @@ use std::time::Instant;
 pub(crate) trait IdOperator<'g> {
     /// Produce the next row, or `None` when the stream is exhausted.
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError>;
+
+    /// Restart the stream over `input`: hand it down to the chain's
+    /// [`ReplayOp`] leaf and reset per-stream state on the way. Opening
+    /// does no work and charges nothing; rows are produced by `next()`.
+    fn open(&mut self, input: Vec<IdRow>);
 }
 
 pub(crate) type BoxIdOp<'g> = Box<dyn IdOperator<'g> + 'g>;
@@ -54,25 +61,30 @@ pub(crate) type BoxSolOp<'g> = Box<dyn SolOperator<'g> + 'g>;
 
 // -------------------------------------------------------- id operators --
 
-/// The evaluation seed: exactly one all-unbound row.
-pub(crate) struct SeedOp {
-    nvars: usize,
-    done: bool,
+/// The leaf of every id-operator chain: replays the rows it was
+/// opened with. The pipeline's leaf holds the one all-unbound seed
+/// row, an OPTIONAL inner chain's leaf the outer row being extended, a
+/// UNION arm's leaf the union's whole input, and `SELECT *` replays the
+/// id rows its data-dependent header forced it to collect.
+pub(crate) struct ReplayOp {
+    rows: std::vec::IntoIter<IdRow>,
 }
 
-impl SeedOp {
-    pub(crate) fn new(nvars: usize) -> Self {
-        SeedOp { nvars, done: false }
+impl ReplayOp {
+    pub(crate) fn new(rows: Vec<IdRow>) -> Self {
+        ReplayOp {
+            rows: rows.into_iter(),
+        }
     }
 }
 
-impl<'g> IdOperator<'g> for SeedOp {
+impl<'g> IdOperator<'g> for ReplayOp {
     fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(Some(vec![UNBOUND; self.nvars]))
+        Ok(self.rows.next())
+    }
+
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.rows = input.into_iter();
     }
 }
 
@@ -142,6 +154,11 @@ impl<'g> IdOperator<'g> for JoinOp<'g> {
             self.row = row;
         }
     }
+
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.scan = None;
+        self.child.open(input);
+    }
 }
 
 /// Keep only rows whose `FILTER` expression is effectively true.
@@ -170,25 +187,29 @@ impl<'g> IdOperator<'g> for FilterOp<'g> {
             }
         }
     }
+
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.child.open(input);
+    }
 }
 
 /// `OPTIONAL`: extend each input row with the inner pattern's matches,
-/// passing the row through unchanged when there are none. The inner
-/// pattern is evaluated per input row through the recursive evaluator —
-/// exactly how the materializing path handled it — so a whole subtree
-/// (including nested UNIONs) rides behind one streaming operator.
+/// passing the row through unchanged (and charging it as a row of its
+/// own) when there are none. The inner pattern is an operator chain of
+/// its own, re-opened with each outer row.
 pub(crate) struct OptionalOp<'g> {
     child: BoxIdOp<'g>,
-    inner: RPattern,
-    buf: std::vec::IntoIter<IdRow>,
+    inner: BoxIdOp<'g>,
+    /// The outer row being extended, and whether `inner` matched it.
+    outer: Option<(IdRow, bool)>,
 }
 
 impl<'g> OptionalOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, inner: RPattern) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, inner: BoxIdOp<'g>) -> Self {
         OptionalOp {
             child,
             inner,
-            buf: Vec::new().into_iter(),
+            outer: None,
         }
     }
 }
@@ -196,46 +217,56 @@ impl<'g> OptionalOp<'g> {
 impl<'g> IdOperator<'g> for OptionalOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
         loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
+            if let Some((row, matched)) = self.outer.take() {
+                if let Some(extended) = self.inner.next(cx)? {
+                    self.outer = Some((row, true));
+                    return Ok(Some(extended));
+                }
+                if !matched {
+                    cx.state.charge()?;
+                    return Ok(Some(row));
+                }
             }
             let Some(row) = self.child.next(cx)? else {
                 return Ok(None);
             };
-            let ctx = EvalCtx {
-                graph: cx.graph,
-                reorder: cx.reorder,
-            };
-            let mut extended = Vec::new();
-            extend_optional(&ctx, &mut cx.state, &self.inner, row, &mut extended)?;
-            self.buf = extended.into_iter();
+            self.inner.open(vec![row.clone()]);
+            self.outer = Some((row, false));
         }
     }
+
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.outer = None;
+        self.child.open(input);
+    }
+}
+
+/// Where a [`UnionOp`] is in its stream.
+enum UnionPhase {
+    /// The input has not been drained yet.
+    Drain,
+    Left,
+    Right,
 }
 
 /// `UNION`: all left-arm results, then all right-arm results. A
 /// pipeline breaker by construction — both arms need the *complete*
-/// upstream input, so it drains its child once and replays it through
-/// each arm (again via the recursive evaluator, preserving the
-/// materializing path's row order and charge accounting).
+/// upstream input, so it drains its child once and opens each arm's
+/// chain over all of it.
 pub(crate) struct UnionOp<'g> {
-    child: Option<BoxIdOp<'g>>,
-    left: RPattern,
-    right: RPattern,
-    input: Vec<IdRow>,
-    buf: std::vec::IntoIter<IdRow>,
-    phase: u8,
+    child: BoxIdOp<'g>,
+    left: BoxIdOp<'g>,
+    right: BoxIdOp<'g>,
+    phase: UnionPhase,
 }
 
 impl<'g> UnionOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, left: RPattern, right: RPattern) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, left: BoxIdOp<'g>, right: BoxIdOp<'g>) -> Self {
         UnionOp {
-            child: Some(child),
+            child,
             left,
             right,
-            input: Vec::new(),
-            buf: Vec::new().into_iter(),
-            phase: 0,
+            phase: UnionPhase::Drain,
         }
     }
 }
@@ -243,83 +274,28 @@ impl<'g> UnionOp<'g> {
 impl<'g> IdOperator<'g> for UnionOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
         loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
-            }
-            let ctx = EvalCtx {
-                graph: cx.graph,
-                reorder: cx.reorder,
-            };
             match self.phase {
-                0 => {
-                    let mut child = self.child.take().expect("union child taken once");
+                UnionPhase::Drain => {
                     let mut input = Vec::new();
-                    while let Some(r) = child.next(cx)? {
+                    while let Some(r) = self.child.next(cx)? {
                         input.push(r);
                     }
-                    self.input = input;
-                    self.buf = eval_pattern(&ctx, &mut cx.state, &self.left, self.input.clone())?
-                        .into_iter();
-                    self.phase = 1;
+                    self.left.open(input.clone());
+                    self.right.open(input);
+                    self.phase = UnionPhase::Left;
                 }
-                1 => {
-                    let input = std::mem::take(&mut self.input);
-                    self.buf = eval_pattern(&ctx, &mut cx.state, &self.right, input)?.into_iter();
-                    self.phase = 2;
-                }
-                _ => return Ok(None),
+                UnionPhase::Left => match self.left.next(cx)? {
+                    Some(row) => return Ok(Some(row)),
+                    None => self.phase = UnionPhase::Right,
+                },
+                UnionPhase::Right => return self.right.next(cx),
             }
         }
     }
-}
 
-/// Drain the parallel path's per-chunk result slabs **in chunk order**,
-/// which is what makes parallel output byte-identical to serial.
-pub(crate) struct ChunksOp {
-    chunks: std::vec::IntoIter<Vec<IdRow>>,
-    cur: std::vec::IntoIter<IdRow>,
-}
-
-impl ChunksOp {
-    pub(crate) fn new(chunks: Vec<Vec<IdRow>>) -> Self {
-        ChunksOp {
-            chunks: chunks.into_iter(),
-            cur: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl<'g> IdOperator<'g> for ChunksOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        loop {
-            if let Some(row) = self.cur.next() {
-                return Ok(Some(row));
-            }
-            match self.chunks.next() {
-                Some(chunk) => self.cur = chunk.into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
-/// Replay an already-materialized id-row slab (`SELECT *`'s
-/// data-dependent header forces one).
-pub(crate) struct MaterialOp {
-    rows: std::vec::IntoIter<IdRow>,
-}
-
-impl MaterialOp {
-    pub(crate) fn new(rows: Vec<IdRow>) -> Self {
-        MaterialOp {
-            rows: rows.into_iter(),
-        }
-    }
-}
-
-impl<'g> IdOperator<'g> for MaterialOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        Ok(self.rows.next())
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.phase = UnionPhase::Drain;
+        self.child.open(input);
     }
 }
 
@@ -374,9 +350,8 @@ impl<'g> SolOperator<'g> for BufferedSolOp {
 }
 
 /// `DISTINCT`, streaming: emit each row the first time it is seen.
-/// First-occurrence order is exactly what the materializing
-/// `retain(insert)` kept, and under a `LIMIT` the pipeline stops once
-/// enough *distinct* rows came through.
+/// First-occurrence order is kept, and under a `LIMIT` the pipeline
+/// stops once enough *distinct* rows came through.
 pub(crate) struct DistinctOp<'g> {
     child: BoxSolOp<'g>,
     seen: BTreeSet<Bindings>,
@@ -405,10 +380,9 @@ impl<'g> SolOperator<'g> for DistinctOp<'g> {
 }
 
 /// `ORDER BY`: the pipeline breaker. Drains its child on the first
-/// pull, sorts with the same stable comparator as the materializing
-/// path (unbound keys first, `DESC` reverses per key), then streams the
-/// sorted rows — so `LIMIT` above still short-circuits the *emission*,
-/// though not the sort itself.
+/// pull, sorts with a stable comparator (unbound keys first, `DESC`
+/// reverses per key), then streams the sorted rows — so `LIMIT` above
+/// still short-circuits the *emission*, though not the sort itself.
 pub(crate) struct OrderByOp<'g> {
     child: BoxSolOp<'g>,
     keys: Vec<OrderKey>,
@@ -549,6 +523,10 @@ impl<'g> IdOperator<'g> for SpanIdOp<'g> {
         let result = self.child.next(cx);
         observe_span(cx, self.name, start);
         result
+    }
+
+    fn open(&mut self, input: Vec<IdRow>) {
+        self.child.open(input);
     }
 }
 

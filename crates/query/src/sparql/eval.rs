@@ -19,12 +19,9 @@
 
 use super::ast::*;
 use super::parser::QueryParseError;
-use provbench_obs::{Registry, LATENCY_BUCKETS};
 use provbench_rdf::{Graph, Term, TermId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One solution row: variable → bound term.
@@ -94,11 +91,6 @@ pub struct EvalOptions {
     /// Abort evaluation after producing this many intermediate rows —
     /// a deterministic cost bound independent of wall-clock speed.
     pub row_budget: Option<u64>,
-    /// Worker threads for the parallel evaluation path. `1` (the
-    /// default) evaluates serially; `0` means one per core, capped
-    /// at 8. Results are byte-identical for every job count — see
-    /// [`EvalOptions::with_jobs`].
-    pub jobs: usize,
     /// Record a `provbench_query_operator_seconds{op=...}` observation
     /// per physical-operator `next()` call (one span per pulled row).
     /// Off by default: per-row timestamping is only worth paying for
@@ -112,7 +104,6 @@ impl Default for EvalOptions {
             reorder_patterns: true,
             deadline: None,
             row_budget: None,
-            jobs: 1,
             operator_spans: false,
         }
     }
@@ -146,13 +137,11 @@ impl EvalOptions {
         self
     }
 
-    /// Evaluate with `jobs` worker threads (`1` = serial, `0` = one per
-    /// core capped at 8). The parallel path partitions the first (most
-    /// selective) pattern's candidate rows into per-worker chunks and
-    /// concatenates chunk results in chunk order, so the output is
-    /// byte-identical to serial evaluation regardless of job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+    /// Does nothing: evaluation is serial. Kept so existing callers
+    /// still build; the endpoint's worker pool runs requests in
+    /// parallel instead.
+    #[deprecated(note = "evaluation is serial; this setting is ignored")]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -161,17 +150,6 @@ impl EvalOptions {
     pub fn with_operator_spans(mut self) -> Self {
         self.operator_spans = true;
         self
-    }
-
-    /// The concrete worker count `jobs` resolves to.
-    pub fn effective_jobs(&self) -> usize {
-        match self.jobs {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            n => n,
-        }
     }
 }
 
@@ -509,52 +487,23 @@ pub(crate) fn plan_tp_of_ast(
 
 // -------------------------------------------------------- evaluation --
 
-/// Cross-worker cost state for one parallel evaluation: the
-/// produced-row count is shared so the row budget bounds the query as a
-/// whole (not each chunk), and the first worker to fail flips
-/// `cancelled` so the others stop at their next stride check instead of
-/// running their chunk to completion.
-struct SharedCost {
-    produced: AtomicU64,
-    cancelled: AtomicBool,
-}
-
-/// Sentinel message of a worker that stopped because a *peer* failed;
-/// filtered out at merge time so the peer's real error is what
-/// surfaces.
-const CANCELLED_BY_PEER: &str = "cancelled: another evaluation worker failed";
-
 /// Per-evaluation cost accounting: every intermediate row produced is
 /// charged against the row budget, and the deadline is polled every
 /// `DEADLINE_STRIDE` rows so `Instant::now` stays off the hot path.
-/// Workers of a parallel evaluation additionally share a [`SharedCost`]
-/// through which budget accounting and cancellation are cooperative.
-pub(crate) struct EvalState<'s> {
-    pub(crate) produced: u64,
+pub(crate) struct EvalState {
+    produced: u64,
     deadline: Option<Instant>,
     row_budget: Option<u64>,
-    shared: Option<&'s SharedCost>,
 }
 
 const DEADLINE_STRIDE: u64 = 1024;
 
-impl<'s> EvalState<'s> {
+impl EvalState {
     pub(crate) fn new(opts: &EvalOptions) -> Self {
         EvalState {
             produced: 0,
             deadline: opts.deadline,
             row_budget: opts.row_budget,
-            shared: None,
-        }
-    }
-
-    /// State for one worker of a parallel evaluation.
-    fn worker(opts: &EvalOptions, shared: &'s SharedCost) -> Self {
-        EvalState {
-            produced: 0,
-            deadline: opts.deadline,
-            row_budget: opts.row_budget,
-            shared: Some(shared),
         }
     }
 
@@ -562,41 +511,21 @@ impl<'s> EvalState<'s> {
     pub(crate) fn charge(&mut self) -> Result<(), QueryError> {
         self.produced += 1;
         if let Some(budget) = self.row_budget {
-            let total = match self.shared {
-                Some(shared) => shared.produced.fetch_add(1, Ordering::Relaxed) + 1,
-                None => self.produced,
-            };
-            if total > budget {
-                if let Some(shared) = self.shared {
-                    shared.cancelled.store(true, Ordering::Relaxed);
-                }
+            if self.produced > budget {
                 return Err(QueryError::Timeout(format!(
                     "row budget of {budget} intermediate rows exhausted"
                 )));
             }
         }
         if self.produced.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(shared) = self.shared {
-                if shared.cancelled.load(Ordering::Relaxed) {
-                    return Err(QueryError::Timeout(CANCELLED_BY_PEER.into()));
-                }
-            }
             if let Some(deadline) = self.deadline {
                 if Instant::now() > deadline {
-                    if let Some(shared) = self.shared {
-                        shared.cancelled.store(true, Ordering::Relaxed);
-                    }
                     return Err(QueryError::Timeout("deadline exceeded".into()));
                 }
             }
         }
         Ok(())
     }
-}
-
-pub(crate) struct EvalCtx<'g> {
-    pub(crate) graph: &'g Graph,
-    pub(crate) reorder: bool,
 }
 
 /// Bind a scanned id into a row slot, or check consistency when the
@@ -615,152 +544,6 @@ pub(crate) fn bind_slot(row: &mut IdRow, pos: &RPos, id: TermId) -> bool {
         }
         // Ground positions were matched by the index scan itself.
         RPos::Const(_) | RPos::Missing => true,
-    }
-}
-
-fn join_triple(
-    ctx: &EvalCtx<'_>,
-    state: &mut EvalState<'_>,
-    tp: &RTriple,
-    input: Vec<IdRow>,
-) -> Result<Vec<IdRow>, QueryError> {
-    let mut out = Vec::new();
-    for row in &input {
-        probe_triple(ctx, state, tp, row, &mut out)?;
-    }
-    Ok(out)
-}
-
-/// Append to `out` every extension of `row` by a match of `tp`.
-fn probe_triple(
-    ctx: &EvalCtx<'_>,
-    state: &mut EvalState<'_>,
-    tp: &RTriple,
-    row: &IdRow,
-    out: &mut Vec<IdRow>,
-) -> Result<(), QueryError> {
-    let resolve = |pos: &RPos| -> Option<Option<TermId>> {
-        // Outer None = can't match; inner None = wildcard scan.
-        match pos {
-            RPos::Const(id) => Some(Some(*id)),
-            RPos::Missing => None,
-            RPos::Var(v) => Some(if row[*v] == UNBOUND {
-                None
-            } else {
-                Some(TermId::from_u32(row[*v]))
-            }),
-        }
-    };
-    let (Some(s), Some(p), Some(o)) = (resolve(&tp.s), resolve(&tp.p), resolve(&tp.o)) else {
-        return Ok(());
-    };
-    for (sid, pid, oid) in ctx.graph.ids_matching(s, p, o) {
-        let mut nb = row.clone();
-        if bind_slot(&mut nb, &tp.s, sid)
-            && bind_slot(&mut nb, &tp.p, pid)
-            && bind_slot(&mut nb, &tp.o, oid)
-        {
-            state.charge()?;
-            out.push(nb);
-        }
-    }
-    Ok(())
-}
-
-/// `OPTIONAL` for one input row: append the row's extensions by
-/// `inner` to `out`, or the row itself when there are none. An inner
-/// pattern of a single triple (the common `OPTIONAL { ?x p ?y }`) is
-/// probed directly rather than through a one-row evaluation.
-pub(crate) fn extend_optional(
-    ctx: &EvalCtx<'_>,
-    state: &mut EvalState<'_>,
-    inner: &RPattern,
-    row: IdRow,
-    out: &mut Vec<IdRow>,
-) -> Result<(), QueryError> {
-    let before = out.len();
-    match single_triple(inner) {
-        Some(tp) => probe_triple(ctx, state, tp, &row, out)?,
-        None => out.extend(eval_pattern(ctx, state, inner, vec![row.clone()])?),
-    }
-    if out.len() == before {
-        state.charge()?;
-        out.push(row);
-    }
-    Ok(())
-}
-
-/// The triple pattern `pattern` consists of, through groups of one.
-fn single_triple(pattern: &RPattern) -> Option<&RTriple> {
-    match pattern {
-        RPattern::Basic(tps) => match tps.as_slice() {
-            [tp] => Some(tp),
-            _ => None,
-        },
-        RPattern::Group(elems) => match elems.as_slice() {
-            [only] => single_triple(only),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-pub(crate) fn eval_pattern(
-    ctx: &EvalCtx<'_>,
-    state: &mut EvalState<'_>,
-    pattern: &RPattern,
-    input: Vec<IdRow>,
-) -> Result<Vec<IdRow>, QueryError> {
-    match pattern {
-        RPattern::Basic(tps) => {
-            let order: Vec<usize> = if ctx.reorder {
-                let plan_tps: Vec<PlanTp> = tps
-                    .iter()
-                    .map(|tp| plan_tp_of_resolved(tp, ctx.graph))
-                    .collect();
-                plan_bgp(&plan_tps).into_iter().map(|(i, _)| i).collect()
-            } else {
-                (0..tps.len()).collect()
-            };
-            let mut current = input;
-            for idx in order {
-                current = join_triple(ctx, state, &tps[idx], current)?;
-                if current.is_empty() {
-                    break;
-                }
-            }
-            Ok(current)
-        }
-        RPattern::Group(elems) => {
-            let mut current = input;
-            for e in elems {
-                current = eval_pattern(ctx, state, e, current)?;
-                if current.is_empty() && !matches!(e, RPattern::Optional(_)) {
-                    break;
-                }
-            }
-            Ok(current)
-        }
-        RPattern::Optional(inner) => {
-            let mut out = Vec::with_capacity(input.len());
-            for row in input {
-                extend_optional(ctx, state, inner, row, &mut out)?;
-            }
-            Ok(out)
-        }
-        RPattern::Union(left, right) => {
-            let mut out = eval_pattern(ctx, state, left, input.clone())?;
-            out.extend(eval_pattern(ctx, state, right, input)?);
-            Ok(out)
-        }
-        RPattern::Filter(expr) => Ok(input
-            .into_iter()
-            .filter(|row| {
-                eval_expr(expr, row, ctx.graph)
-                    .and_then(|v| effective_boolean(&v))
-                    .unwrap_or(false)
-            })
-            .collect()),
     }
 }
 
@@ -1070,234 +853,26 @@ pub(crate) fn apply_aggregates(
     Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
-// ------------------------------------------------- parallel execution --
-
-/// Counter of parallel evaluation chunks by outcome
-/// (`result="ok"|"cancelled"|"timeout"|"error"`).
-const PARALLEL_CHUNKS_TOTAL: &str = "provbench_query_parallel_chunks_total";
-/// Histogram of per-chunk wall-clock time on the parallel path.
-const PARALLEL_CHUNK_SECONDS: &str = "provbench_query_parallel_chunk_seconds";
-
-/// Flatten nested groups into the sequential "spine" of stages the
-/// top-level evaluation runs through.
-fn flatten_spine<'p>(pattern: &'p RPattern, out: &mut Vec<&'p RPattern>) {
-    match pattern {
-        RPattern::Group(elems) => {
-            for e in elems {
-                flatten_spine(e, out);
-            }
-        }
-        other => out.push(other),
-    }
-}
-
-/// Whether a spine stage maps input rows to output rows independently
-/// and in input order (`f(a ++ b) == f(a) ++ f(b)`), so per-chunk
-/// evaluation concatenated in chunk order reproduces the serial output
-/// byte for byte. `UNION` on the spine emits all left results before
-/// all right results — chunking would interleave them — so it forces
-/// the serial path. A UNION *nested inside* an OPTIONAL is fine:
-/// OPTIONAL evaluates its inner pattern one row at a time.
-fn order_preserving(stage: &RPattern) -> bool {
-    match stage {
-        RPattern::Basic(_) | RPattern::Optional(_) | RPattern::Filter(_) => true,
-        RPattern::Group(elems) => elems.iter().all(order_preserving),
-        RPattern::Union(..) => false,
-    }
-}
-
-/// Evaluate the tail of the spine: the remaining joins of the leading
-/// BGP (already in planner order), then the remaining stages.
-fn eval_chain(
-    ctx: &EvalCtx<'_>,
-    state: &mut EvalState<'_>,
-    rest_tps: &[RTriple],
-    rest_stages: &[&RPattern],
-    input: Vec<IdRow>,
-) -> Result<Vec<IdRow>, QueryError> {
-    let mut current = input;
-    for tp in rest_tps {
-        if current.is_empty() {
-            break;
-        }
-        current = join_triple(ctx, state, tp, current)?;
-    }
-    for stage in rest_stages {
-        if current.is_empty() && !matches!(stage, RPattern::Optional(_)) {
-            break;
-        }
-        current = eval_pattern(ctx, state, stage, current)?;
-    }
-    Ok(current)
-}
-
-/// Parallel pattern evaluation, when the options and the pattern shape
-/// allow it.
-///
-/// The parallel path evaluates the first (most selective) pattern of
-/// the leading BGP serially into a candidate slab, splits the slab into
-/// per-worker chunks, runs the remaining join chain per chunk on scoped
-/// threads, and returns the per-chunk row slabs **in chunk order** —
-/// the caller (the plan layer's chunk-drain operator) concatenates them
-/// in that order, so the output is byte-identical to serial evaluation
-/// for any job count. Every stage downstream of the split is
-/// [`order_preserving`]. Deadline and row-budget enforcement is
-/// cooperative: the budget counter lives in a [`SharedCost`] and the
-/// first worker to fail cancels the rest.
-///
-/// Returns `Ok(None)` when the parallel path does not apply — `jobs <=
-/// 1`, or the pattern has no splittable leading BGP (e.g. a top-level
-/// UNION) — and the caller should stream through the serial operator
-/// pipeline instead. A candidate slab with fewer than two rows finishes
-/// on this thread (nothing to split) but still reports `Some`.
-pub(crate) fn eval_parallel_chunks(
-    ctx: &EvalCtx<'_>,
-    opts: &EvalOptions,
-    pattern: &RPattern,
-    nvars: usize,
-    metrics: Option<&Registry>,
-) -> Result<Option<Vec<Vec<IdRow>>>, QueryError> {
-    let jobs = opts.effective_jobs();
-    let mut stages: Vec<&RPattern> = Vec::new();
-    flatten_spine(pattern, &mut stages);
-    let splittable = jobs > 1
-        && matches!(stages.first(), Some(RPattern::Basic(tps)) if !tps.is_empty())
-        && stages.iter().all(|s| order_preserving(s));
-    if !splittable {
-        return Ok(None);
-    }
-    let seed = vec![vec![UNBOUND; nvars]];
-    let Some(RPattern::Basic(tps)) = stages.first() else {
-        unreachable!("splittable checked the leading stage is a BGP");
-    };
-    // Same plan the serial path would pick for this BGP.
-    let order: Vec<usize> = if ctx.reorder {
-        let plan_tps: Vec<PlanTp> = tps
-            .iter()
-            .map(|tp| plan_tp_of_resolved(tp, ctx.graph))
-            .collect();
-        plan_bgp(&plan_tps).into_iter().map(|(i, _)| i).collect()
-    } else {
-        (0..tps.len()).collect()
-    };
-    let mut state = EvalState::new(opts);
-    let candidates = join_triple(ctx, &mut state, &tps[order[0]], seed)?;
-    let rest_tps: Vec<RTriple> = order[1..].iter().map(|&i| tps[i].clone()).collect();
-    let rest_stages = &stages[1..];
-    if candidates.len() < 2 {
-        // Nothing to split; finish on this thread (same state, same
-        // chain — identical to the serial path by construction).
-        return Ok(Some(vec![eval_chain(
-            ctx,
-            &mut state,
-            &rest_tps,
-            rest_stages,
-            candidates,
-        )?]));
-    }
-
-    let chunk_size = candidates.len().div_ceil(jobs);
-    let chunks: Vec<&[IdRow]> = candidates.chunks(chunk_size).collect();
-    // The seed scan above already charged for the candidate rows; start
-    // the shared counter there so the budget bounds the whole query
-    // exactly as it does serially.
-    let shared = SharedCost {
-        produced: AtomicU64::new(state.produced),
-        cancelled: AtomicBool::new(false),
-    };
-    let first_error: Mutex<Option<QueryError>> = Mutex::new(None);
-    let (shared, first_error) = (&shared, &first_error);
-    let rest_tps = rest_tps.as_slice();
-    let chunk_results: Vec<Option<Vec<IdRow>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut state = EvalState::worker(opts, shared);
-                    let result = eval_chain(ctx, &mut state, rest_tps, rest_stages, chunk.to_vec());
-                    if let Some(registry) = metrics {
-                        let outcome = match &result {
-                            Ok(_) => "ok",
-                            Err(QueryError::Timeout(m)) if m == CANCELLED_BY_PEER => "cancelled",
-                            Err(QueryError::Timeout(_)) => "timeout",
-                            Err(_) => "error",
-                        };
-                        registry
-                            .histogram(
-                                PARALLEL_CHUNK_SECONDS,
-                                "Per-chunk wall-clock time of parallel query evaluation",
-                                LATENCY_BUCKETS,
-                            )
-                            .observe_duration(start.elapsed());
-                        registry
-                            .counter_with(
-                                PARALLEL_CHUNKS_TOTAL,
-                                "Parallel evaluation chunks by outcome",
-                                &[("result", outcome)],
-                            )
-                            .inc();
-                    }
-                    match result {
-                        Ok(rows) => Some(rows),
-                        Err(e) => {
-                            shared.cancelled.store(true, Ordering::Relaxed);
-                            if !matches!(&e, QueryError::Timeout(m) if m == CANCELLED_BY_PEER) {
-                                let mut slot = first_error.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                            }
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
-    if let Some(e) = first_error.lock().unwrap().take() {
-        return Err(e);
-    }
-    // A worker only fails after recording an error (or after a peer
-    // recorded one), and the merge above returned it — so every chunk
-    // here succeeded.
-    Ok(Some(
-        chunk_results
-            .into_iter()
-            .map(|rows| rows.expect("chunk failed without a recorded error"))
-            .collect(),
-    ))
-}
-
 // ---------------------------------------------------------- execution --
 
 /// Execute a parsed query over a graph: a thin wrapper over the
-/// physical plan layer in [`crate::plan`] (lowering, streaming
-/// operators, and the parallel chunk drain all live there), kept as
-/// the evaluator tests' materializing entry point. `metrics` receives
-/// the parallel path's per-chunk timings, when set.
+/// physical plan layer in [`crate::plan`] (lowering and the streaming
+/// operators live there), kept as the evaluator tests' materializing
+/// entry point.
 #[cfg(test)]
 pub(crate) fn run(
     graph: &Graph,
     query: &Query,
     opts: &EvalOptions,
-    metrics: Option<&Registry>,
 ) -> Result<Solutions, QueryError> {
-    crate::plan::solutions(graph, query, opts, metrics)
+    crate::plan::solutions(graph, query, opts, None)
 }
 
 /// Execute a parsed query over a graph with default options. Crate
 /// internal: [`crate::QueryEngine`] is the public entry point.
 #[cfg(test)]
 pub(crate) fn execute(graph: &Graph, query: &Query) -> Result<Solutions, QueryError> {
-    run(graph, query, &EvalOptions::default(), None)
+    run(graph, query, &EvalOptions::default())
 }
 
 #[cfg(test)]
@@ -1377,7 +952,7 @@ mod tests {
         (0..)
             .find(|&budget| {
                 let opts = EvalOptions::default().with_row_budget(budget);
-                run(g, query, &opts, None).is_ok()
+                run(g, query, &opts).is_ok()
             })
             .unwrap()
     }
@@ -1436,7 +1011,7 @@ mod tests {
                 let q = shape.replace("INNER", inner);
                 let query = parse_query(&format!("PREFIX e: <http://e/> SELECT * WHERE {{ {q} }}"))
                     .unwrap();
-                let s = run(&g, &query, &EvalOptions::default(), None).unwrap();
+                let s = run(&g, &query, &EvalOptions::default()).unwrap();
                 let got: Vec<String> = s.rows.iter().map(compact).collect();
                 assert_eq!(got.join(" | "), rows, "{q}");
                 assert_eq!(charges(&g, &query), charged, "{q}");
@@ -1683,8 +1258,8 @@ mod tests {
             "PREFIX e: <http://e/> SELECT ?r ?who WHERE { ?r ?p ?x . ?r e:by ?who . ?r a e:Run }",
         )
         .unwrap();
-        let with = run(&graph(), &q, &EvalOptions::default(), None).unwrap();
-        let without = run(&graph(), &q, &EvalOptions::lexical(), None).unwrap();
+        let with = run(&graph(), &q, &EvalOptions::default()).unwrap();
+        let without = run(&graph(), &q, &EvalOptions::lexical()).unwrap();
         let norm = |s: &Solutions| {
             let mut v: Vec<String> = s.rows.iter().map(|r| format!("{r:?}")).collect();
             v.sort();
@@ -1727,13 +1302,13 @@ mod tests {
         let g = graph();
         let q = parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }").unwrap();
         let opts = EvalOptions::default().with_row_budget(100);
-        match run(&g, &q, &opts, None) {
+        match run(&g, &q, &opts) {
             Err(QueryError::Timeout(m)) => assert!(m.contains("row budget"), "{m}"),
             other => panic!("expected Timeout, got {other:?}"),
         }
         // A generous budget lets the same query finish.
         let opts = EvalOptions::default().with_row_budget(10_000_000);
-        assert!(run(&g, &q, &opts, None).is_ok());
+        assert!(run(&g, &q, &opts).is_ok());
     }
 
     #[test]
@@ -1742,7 +1317,7 @@ mod tests {
         let q = parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }").unwrap();
         // A deadline in the past trips at the first stride check.
         let opts = EvalOptions::default().with_deadline(Instant::now() - Duration::from_secs(1));
-        match run(&g, &q, &opts, None) {
+        match run(&g, &q, &opts) {
             Err(QueryError::Timeout(m)) => assert!(m.contains("deadline"), "{m}"),
             other => panic!("expected Timeout, got {other:?}"),
         }
@@ -1750,113 +1325,6 @@ mod tests {
 
     fn iri_of(s: &str) -> provbench_rdf::Iri {
         provbench_rdf::Iri::new(s).unwrap()
-    }
-
-    /// A graph big enough that the parallel path actually splits the
-    /// candidate slab across several chunks.
-    fn big_graph() -> Graph {
-        let mut ttl = String::from("@prefix e: <http://e/> .\n");
-        for i in 0..64 {
-            ttl.push_str(&format!(
-                "e:r{i} a e:Run ; e:by e:u{} ; e:size {} .\n",
-                i % 7,
-                i % 13
-            ));
-        }
-        parse_turtle(&ttl).unwrap().0
-    }
-
-    #[test]
-    fn parallel_evaluation_is_byte_identical_to_serial() {
-        let g = big_graph();
-        for text in [
-            "PREFIX e: <http://e/> SELECT ?r ?who WHERE { ?r a e:Run . ?r e:by ?who }",
-            "PREFIX e: <http://e/> SELECT * WHERE { ?r a e:Run . ?r e:size ?s FILTER (?s > 6) }",
-            "PREFIX e: <http://e/> SELECT ?r ?s WHERE { ?r a e:Run OPTIONAL { ?r e:size ?s FILTER (?s < 3) } }",
-            "PREFIX e: <http://e/> SELECT ?who (COUNT(?r) AS ?n) WHERE { ?r a e:Run . ?r e:by ?who } GROUP BY ?who",
-            "PREFIX e: <http://e/> SELECT DISTINCT ?who WHERE { ?r e:by ?who } ORDER BY ?who LIMIT 3",
-            // UNION on the spine forces the serial fallback; output must
-            // still match.
-            "PREFIX e: <http://e/> SELECT ?x WHERE { { ?x a e:Run } UNION { ?x e:by e:u1 } }",
-        ] {
-            let q = parse_query(text).unwrap();
-            let serial = run(&g, &q, &EvalOptions::default(), None).unwrap();
-            for jobs in [0, 2, 3, 8] {
-                let par = run(&g, &q, &EvalOptions::default().with_jobs(jobs), None).unwrap();
-                assert_eq!(par, serial, "jobs={jobs} diverged for {text}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_lexical_order_matches_serial_lexical_order() {
-        let g = big_graph();
-        let q =
-            parse_query("PREFIX e: <http://e/> SELECT ?r ?who WHERE { ?r a e:Run . ?r e:by ?who }")
-                .unwrap();
-        let serial = run(&g, &q, &EvalOptions::lexical(), None).unwrap();
-        let par = run(&g, &q, &EvalOptions::lexical().with_jobs(4), None).unwrap();
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_row_budget_is_shared_across_workers() {
-        let g = big_graph();
-        let q = parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f }").unwrap();
-        // Each chunk stays well under the budget on its own; only the
-        // shared counter can trip it.
-        let opts = EvalOptions::default().with_jobs(8).with_row_budget(1_000);
-        match run(&g, &q, &opts, None) {
-            Err(QueryError::Timeout(m)) => assert!(m.contains("row budget"), "{m}"),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        // Serial agrees that the same budget is insufficient.
-        let serial = EvalOptions::default().with_row_budget(1_000);
-        assert!(matches!(
-            run(&g, &q, &serial, None),
-            Err(QueryError::Timeout(_))
-        ));
-    }
-
-    #[test]
-    fn parallel_past_deadline_aborts() {
-        let g = big_graph();
-        let q = parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f }").unwrap();
-        let opts = EvalOptions::default()
-            .with_jobs(4)
-            .with_deadline(Instant::now() - Duration::from_secs(1));
-        match run(&g, &q, &opts, None) {
-            Err(QueryError::Timeout(m)) => assert!(m.contains("deadline"), "{m}"),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_chunk_metrics_are_recorded() {
-        let g = big_graph();
-        let q =
-            parse_query("PREFIX e: <http://e/> SELECT ?r ?who WHERE { ?r a e:Run . ?r e:by ?who }")
-                .unwrap();
-        let registry = provbench_obs::Registry::new();
-        let opts = EvalOptions::default().with_jobs(4);
-        run(&g, &q, &opts, Some(&registry)).unwrap();
-        let rendered = registry.render_prometheus();
-        assert!(
-            rendered.contains("provbench_query_parallel_chunks_total{result=\"ok\"} 4"),
-            "missing chunk counter in\n{rendered}"
-        );
-        assert!(
-            rendered.contains("provbench_query_parallel_chunk_seconds_count"),
-            "missing chunk histogram in\n{rendered}"
-        );
-    }
-
-    #[test]
-    fn effective_jobs_resolves_auto() {
-        assert_eq!(EvalOptions::default().effective_jobs(), 1);
-        assert_eq!(EvalOptions::default().with_jobs(3).effective_jobs(), 3);
-        let auto = EvalOptions::default().with_jobs(0).effective_jobs();
-        assert!((1..=8).contains(&auto), "auto jobs out of range: {auto}");
     }
 
     #[test]

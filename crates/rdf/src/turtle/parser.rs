@@ -15,6 +15,11 @@ const RDF_REST: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#rest";
 const RDF_NIL: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil";
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
+/// Deepest nesting of `[ … ]` property lists and `( … )` collections a
+/// document may use. Each level costs a few frames of recursive descent,
+/// so without a bound one hostile file could overflow the loader's stack.
+pub(crate) const MAX_NESTING: usize = 128;
+
 pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -28,6 +33,8 @@ pub(crate) struct Parser {
     /// When present, every emitted triple is recorded here with its span.
     /// `None` keeps the hot path free of per-triple clones.
     spans: Option<SpanTable>,
+    /// Current `[ … ]`/`( … )` nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -50,6 +57,7 @@ impl Parser {
             allow_graphs,
             current_graph: None,
             spans: None,
+            depth: 0,
         })
     }
 
@@ -132,6 +140,21 @@ impl Parser {
         } else {
             Err(self.err_here(format!("expected {what}, found {:?}", self.peek_kind())))
         }
+    }
+
+    /// Run `parse` one nesting level deeper, failing at the current
+    /// token once the depth would exceed [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err_here(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn fresh_blank(&mut self) -> BlankNode {
@@ -481,31 +504,36 @@ impl Parser {
         &mut self,
         dataset: &mut Dataset,
     ) -> Result<Subject, ParseError> {
-        self.expect(&TokenKind::OpenBracket, "`[`")?;
-        let node = Subject::Blank(self.fresh_blank());
-        if self.peek_kind() == &TokenKind::CloseBracket {
-            self.advance();
-            return Ok(node); // `[]` — a bare anonymous node
-        }
-        self.parse_predicate_object_list(dataset, &node)?;
-        self.expect(&TokenKind::CloseBracket, "`]`")?;
-        Ok(node)
+        self.nested(|p| {
+            p.expect(&TokenKind::OpenBracket, "`[`")?;
+            let node = Subject::Blank(p.fresh_blank());
+            if p.peek_kind() == &TokenKind::CloseBracket {
+                p.advance();
+                return Ok(node); // `[]` — a bare anonymous node
+            }
+            p.parse_predicate_object_list(dataset, &node)?;
+            p.expect(&TokenKind::CloseBracket, "`]`")?;
+            Ok(node)
+        })
     }
 
     fn parse_collection(&mut self, dataset: &mut Dataset) -> Result<Term, ParseError> {
         let start = self.pos_here();
-        self.expect(&TokenKind::OpenParen, "`(`")?;
+        let items = self.nested(|p| {
+            p.expect(&TokenKind::OpenParen, "`(`")?;
+            let mut items = Vec::new();
+            while p.peek_kind() != &TokenKind::CloseParen {
+                if p.peek_kind() == &TokenKind::Eof {
+                    return Err(p.err_here("unterminated collection"));
+                }
+                items.push(p.parse_object(dataset)?);
+            }
+            p.advance(); // ')'
+            Ok(items)
+        })?;
         let first_pred = Iri::new_unchecked(RDF_FIRST);
         let rest_pred = Iri::new_unchecked(RDF_REST);
         let nil = Iri::new_unchecked(RDF_NIL);
-        let mut items = Vec::new();
-        while self.peek_kind() != &TokenKind::CloseParen {
-            if self.peek_kind() == &TokenKind::Eof {
-                return Err(self.err_here("unterminated collection"));
-            }
-            items.push(self.parse_object(dataset)?);
-        }
-        self.advance(); // ')'
         if items.is_empty() {
             return Ok(Term::Iri(nil));
         }
@@ -760,6 +788,44 @@ mod tests {
         let entry = spans.iter().next().unwrap();
         assert_eq!(entry.graph.as_ref(), Some(&g));
         assert_eq!(entry.span.line, 2);
+    }
+
+    /// `[ … ]` and `( … )` nest up to `MAX_NESTING` levels, in any mix;
+    /// one level more is an error at the opening token of that level.
+    #[test]
+    fn nesting_is_bounded_with_a_spanned_error() {
+        let parse_turtle = |text: &str| Parser::new(text, false)?.parse();
+        let parse_trig = |text: &str| Parser::new(text, true)?.parse();
+        let doc = |depth: usize, open: &str, close: &str| {
+            format!(
+                "<http://e/s> <http://e/p>\n{} <http://e/o> {} .",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        };
+        let lists = ("[ <http://e/p> ", " ]");
+        let collections = ("( ", " )");
+        for (open, close) in [lists, collections] {
+            let at_limit = doc(MAX_NESTING, open, close);
+            assert!(parse_turtle(&at_limit).is_ok(), "{open} x {MAX_NESTING}");
+            assert!(parse_trig(&format!("{{ {at_limit} }}")).is_ok());
+            let over = doc(MAX_NESTING + 1, open, close);
+            let err = parse_turtle(&over).unwrap_err();
+            assert_eq!(err.line, 2, "{err}");
+            assert_eq!(err.column, 1 + MAX_NESTING * open.len(), "{err}");
+            assert!(err.message.contains("nesting deeper than 128"), "{err}");
+            assert_eq!(parse_trig(&format!("{{ {over} }}")).unwrap_err().line, 2);
+        }
+        // The bound counts both kinds together, and a deep subject too.
+        let mixed = "[ <http://e/p> ( ".repeat(MAX_NESTING / 2 + 1);
+        let err = parse_turtle(&format!("<http://e/s> <http://e/p> {mixed}")).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse_turtle(&format!(
+            "{} <http://e/p> <http://e/o> .",
+            "(".repeat(100_000)
+        ))
+        .unwrap_err();
+        assert_eq!((err.line, err.column), (1, 1 + MAX_NESTING), "{err}");
     }
 
     #[test]
