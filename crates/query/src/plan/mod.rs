@@ -35,7 +35,7 @@ use crate::sparql::eval::{
     VarTable, UNBOUND,
 };
 use ops::{
-    AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
+    drain, AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
     OrderByOp, ProjectOp, ReplayOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
 };
 use provbench_obs::{Registry, LATENCY_BUCKETS};
@@ -211,7 +211,7 @@ fn build<'g>(
     // Id-row source: the pipeline lowered from the pattern, over the one
     // all-unbound seed row.
     let seed = vec![vec![UNBOUND; nvars]];
-    let source = lower(pattern, seed, true, graph, opts.reorder_patterns, spans);
+    let mut source = lower(pattern, seed, true, graph, opts.reorder_patterns, spans);
 
     let has_aggs = query.has_aggregates() || !query.group_by.is_empty();
     let variables: Vec<String>;
@@ -227,11 +227,7 @@ fn build<'g>(
         );
     } else if has_aggs {
         // Grouping needs every input row: drain the source now.
-        let mut src = source;
-        let mut id_rows = Vec::new();
-        while let Some(r) = src.next(&mut cx)? {
-            id_rows.push(r);
-        }
+        let id_rows = drain(source.as_mut(), &mut cx)?;
         let mut rows = apply_aggregates(&vars, &group_by, &aggregates, id_rows, graph)?;
         variables = if query.projections.is_empty() {
             let mut names: BTreeSet<String> = BTreeSet::new();
@@ -249,11 +245,7 @@ fn build<'g>(
     } else if query.projections.is_empty() {
         // SELECT *: the header (variables bound in at least one row,
         // sorted) is data-dependent, so the id rows materialize first.
-        let mut src = source;
-        let mut id_rows = Vec::new();
-        while let Some(r) = src.next(&mut cx)? {
-            id_rows.push(r);
-        }
+        let id_rows = drain(source.as_mut(), &mut cx)?;
         let mut bound = vec![false; nvars];
         for r in &id_rows {
             for (slot, &raw) in r.iter().enumerate() {

@@ -34,19 +34,22 @@ use crate::sparql::eval::{
     RExpr, RPos, RTriple, UNBOUND,
 };
 use provbench_obs::LATENCY_BUCKETS;
-use provbench_rdf::{Term, TermId};
+use provbench_rdf::{IdsMatching, Term, TermId};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// A pull-based operator over compact id rows.
 pub(crate) trait IdOperator<'g> {
-    /// Produce the next row, or `None` when the stream is exhausted.
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError>;
+    /// Write the next row into `out` and return `true`, or return
+    /// `false` when the stream is exhausted (leaving `out` unspecified).
+    /// Rows are written into the caller's buffer so that streaming a row
+    /// through a chain reuses allocations instead of making new ones.
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError>;
 
-    /// Restart the stream over `input`: hand it down to the chain's
-    /// [`ReplayOp`] leaf and reset per-stream state on the way. Opening
-    /// does no work and charges nothing; rows are produced by `next()`.
-    fn open(&mut self, input: Vec<IdRow>);
+    /// Restart the stream over a copy of `input`: hand it down to the
+    /// chain's [`ReplayOp`] leaf and reset per-stream state on the way.
+    /// Opening charges nothing; rows are produced by `next()`.
+    fn open(&mut self, input: &[IdRow]);
 }
 
 pub(crate) type BoxIdOp<'g> = Box<dyn IdOperator<'g> + 'g>;
@@ -67,24 +70,36 @@ pub(crate) type BoxSolOp<'g> = Box<dyn SolOperator<'g> + 'g>;
 /// UNION arm's leaf the union's whole input, and `SELECT *` replays the
 /// id rows its data-dependent header forced it to collect.
 pub(crate) struct ReplayOp {
-    rows: std::vec::IntoIter<IdRow>,
+    rows: Vec<IdRow>,
+    next: usize,
 }
 
 impl ReplayOp {
     pub(crate) fn new(rows: Vec<IdRow>) -> Self {
-        ReplayOp {
-            rows: rows.into_iter(),
-        }
+        ReplayOp { rows, next: 0 }
     }
 }
 
 impl<'g> IdOperator<'g> for ReplayOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        Ok(self.rows.next())
+    fn next(&mut self, _cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
+        let Some(row) = self.rows.get(self.next) else {
+            return Ok(false);
+        };
+        out.clone_from(row);
+        self.next += 1;
+        Ok(true)
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
-        self.rows = input.into_iter();
+    fn open(&mut self, input: &[IdRow]) {
+        // Copy into the rows already held, so that re-opening with one
+        // row per OPTIONAL outer row allocates nothing.
+        self.rows.truncate(input.len());
+        let held = self.rows.len();
+        for (row, src) in self.rows.iter_mut().zip(input) {
+            row.clone_from(src);
+        }
+        self.rows.extend_from_slice(&input[held..]);
+        self.next = 0;
     }
 }
 
@@ -98,7 +113,7 @@ pub(crate) struct JoinOp<'g> {
     tp: RTriple,
     /// The child row currently being expanded.
     row: IdRow,
-    scan: Option<Box<dyn Iterator<Item = (TermId, TermId, TermId)> + 'g>>,
+    scan: Option<IdsMatching<'g>>,
 }
 
 impl<'g> JoinOp<'g> {
@@ -113,24 +128,25 @@ impl<'g> JoinOp<'g> {
 }
 
 impl<'g> IdOperator<'g> for JoinOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         loop {
             if let Some(scan) = &mut self.scan {
                 for (sid, pid, oid) in scan.by_ref() {
-                    let mut nb = self.row.clone();
-                    if bind_slot(&mut nb, &self.tp.s, sid)
-                        && bind_slot(&mut nb, &self.tp.p, pid)
-                        && bind_slot(&mut nb, &self.tp.o, oid)
+                    out.clone_from(&self.row);
+                    if bind_slot(out, &self.tp.s, sid)
+                        && bind_slot(out, &self.tp.p, pid)
+                        && bind_slot(out, &self.tp.o, oid)
                     {
                         cx.state.charge()?;
-                        return Ok(Some(nb));
+                        return Ok(true);
                     }
                 }
                 self.scan = None;
             }
-            let Some(row) = self.child.next(cx)? else {
-                return Ok(None);
-            };
+            if !self.child.next(cx, &mut self.row)? {
+                return Ok(false);
+            }
+            let row = &self.row;
             let resolve = |pos: &RPos| -> Option<Option<TermId>> {
                 // Outer None = can't match; inner None = wildcard scan.
                 match pos {
@@ -151,11 +167,10 @@ impl<'g> IdOperator<'g> for JoinOp<'g> {
                 continue; // a ground term the graph never interned
             };
             self.scan = Some(cx.graph.ids_matching(s, p, o));
-            self.row = row;
         }
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
+    fn open(&mut self, input: &[IdRow]) {
         self.scan = None;
         self.child.open(input);
     }
@@ -174,21 +189,19 @@ impl<'g> FilterOp<'g> {
 }
 
 impl<'g> IdOperator<'g> for FilterOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
-        loop {
-            let Some(row) = self.child.next(cx)? else {
-                return Ok(None);
-            };
-            let keep = eval_expr(&self.expr, &row, cx.graph)
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
+        while self.child.next(cx, out)? {
+            let keep = eval_expr(&self.expr, out, cx.graph)
                 .and_then(|v| effective_boolean(&v))
                 .unwrap_or(false);
             if keep {
-                return Ok(Some(row));
+                return Ok(true);
             }
         }
+        Ok(false)
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
+    fn open(&mut self, input: &[IdRow]) {
         self.child.open(input);
     }
 }
@@ -200,8 +213,12 @@ impl<'g> IdOperator<'g> for FilterOp<'g> {
 pub(crate) struct OptionalOp<'g> {
     child: BoxIdOp<'g>,
     inner: BoxIdOp<'g>,
-    /// The outer row being extended, and whether `inner` matched it.
-    outer: Option<(IdRow, bool)>,
+    /// The outer row being extended.
+    row: IdRow,
+    /// Whether `row` is still being extended, and whether `inner`
+    /// matched it so far.
+    extending: bool,
+    matched: bool,
 }
 
 impl<'g> OptionalOp<'g> {
@@ -209,34 +226,39 @@ impl<'g> OptionalOp<'g> {
         OptionalOp {
             child,
             inner,
-            outer: None,
+            row: Vec::new(),
+            extending: false,
+            matched: false,
         }
     }
 }
 
 impl<'g> IdOperator<'g> for OptionalOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         loop {
-            if let Some((row, matched)) = self.outer.take() {
-                if let Some(extended) = self.inner.next(cx)? {
-                    self.outer = Some((row, true));
-                    return Ok(Some(extended));
+            if self.extending {
+                if self.inner.next(cx, out)? {
+                    self.matched = true;
+                    return Ok(true);
                 }
-                if !matched {
+                self.extending = false;
+                if !self.matched {
                     cx.state.charge()?;
-                    return Ok(Some(row));
+                    out.clone_from(&self.row);
+                    return Ok(true);
                 }
             }
-            let Some(row) = self.child.next(cx)? else {
-                return Ok(None);
-            };
-            self.inner.open(vec![row.clone()]);
-            self.outer = Some((row, false));
+            if !self.child.next(cx, &mut self.row)? {
+                return Ok(false);
+            }
+            self.inner.open(std::slice::from_ref(&self.row));
+            self.extending = true;
+            self.matched = false;
         }
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
-        self.outer = None;
+    fn open(&mut self, input: &[IdRow]) {
+        self.extending = false;
         self.child.open(input);
     }
 }
@@ -272,31 +294,43 @@ impl<'g> UnionOp<'g> {
 }
 
 impl<'g> IdOperator<'g> for UnionOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         loop {
             match self.phase {
                 UnionPhase::Drain => {
-                    let mut input = Vec::new();
-                    while let Some(r) = self.child.next(cx)? {
-                        input.push(r);
-                    }
-                    self.left.open(input.clone());
-                    self.right.open(input);
+                    let input = drain(self.child.as_mut(), cx)?;
+                    self.left.open(&input);
+                    self.right.open(&input);
                     self.phase = UnionPhase::Left;
                 }
-                UnionPhase::Left => match self.left.next(cx)? {
-                    Some(row) => return Ok(Some(row)),
-                    None => self.phase = UnionPhase::Right,
-                },
-                UnionPhase::Right => return self.right.next(cx),
+                UnionPhase::Left => {
+                    if self.left.next(cx, out)? {
+                        return Ok(true);
+                    }
+                    self.phase = UnionPhase::Right;
+                }
+                UnionPhase::Right => return self.right.next(cx, out),
             }
         }
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
+    fn open(&mut self, input: &[IdRow]) {
         self.phase = UnionPhase::Drain;
         self.child.open(input);
     }
+}
+
+/// Every remaining row of `op`.
+pub(crate) fn drain<'g>(
+    op: &mut (dyn IdOperator<'g> + 'g),
+    cx: &mut ExecCtx<'g>,
+) -> Result<Vec<IdRow>, QueryError> {
+    let mut rows = Vec::new();
+    let mut row = IdRow::new();
+    while op.next(cx, &mut row)? {
+        rows.push(row.clone());
+    }
+    Ok(rows)
 }
 
 // -------------------------------------------------- solution operators --
@@ -306,22 +340,27 @@ impl<'g> IdOperator<'g> for UnionOp<'g> {
 pub(crate) struct ProjectOp<'g> {
     child: BoxIdOp<'g>,
     keep: Vec<(usize, String)>,
+    row: IdRow,
 }
 
 impl<'g> ProjectOp<'g> {
     pub(crate) fn new(child: BoxIdOp<'g>, keep: Vec<(usize, String)>) -> Self {
-        ProjectOp { child, keep }
+        ProjectOp {
+            child,
+            keep,
+            row: IdRow::new(),
+        }
     }
 }
 
 impl<'g> SolOperator<'g> for ProjectOp<'g> {
     fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        let Some(row) = self.child.next(cx)? else {
+        if !self.child.next(cx, &mut self.row)? {
             return Ok(None);
-        };
+        }
         let mut b = Bindings::new();
         for (slot, name) in &self.keep {
-            if let Some(t) = slot_term(&row, *slot, cx.graph) {
+            if let Some(t) = slot_term(&self.row, *slot, cx.graph) {
                 b.insert(name.clone(), t.clone());
             }
         }
@@ -518,14 +557,14 @@ impl<'g> SpanIdOp<'g> {
 }
 
 impl<'g> IdOperator<'g> for SpanIdOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<IdRow>, QueryError> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         let start = Instant::now();
-        let result = self.child.next(cx);
+        let result = self.child.next(cx, out);
         observe_span(cx, self.name, start);
         result
     }
 
-    fn open(&mut self, input: Vec<IdRow>) {
+    fn open(&mut self, input: &[IdRow]) {
         self.child.open(input);
     }
 }

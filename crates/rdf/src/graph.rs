@@ -16,6 +16,35 @@ type Key = (TermId, TermId, TermId);
 const MIN: TermId = TermId::from_u32(0);
 const MAX: TermId = TermId::from_u32(u32::MAX);
 
+/// Key order of the index an [`IdsMatching`] scans.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    Spo,
+    Pos,
+    Osp,
+}
+
+/// The `(s, p, o)` id-triples [`Graph::ids_matching`] found: one range
+/// of one index, its keys reordered to subject, predicate, object.
+#[derive(Clone, Debug)]
+pub struct IdsMatching<'a> {
+    range: std::collections::btree_set::Range<'a, Key>,
+    order: Order,
+}
+
+impl Iterator for IdsMatching<'_> {
+    type Item = Key;
+
+    fn next(&mut self) -> Option<Key> {
+        let &(a, b, c) = self.range.next()?;
+        Some(match self.order {
+            Order::Spo => (a, b, c),
+            Order::Pos => (c, a, b),
+            Order::Osp => (b, c, a),
+        })
+    }
+}
+
 /// An in-memory set of triples with SPO/POS/OSP indexes.
 #[derive(Default, Clone, Debug)]
 pub struct Graph {
@@ -239,39 +268,20 @@ impl Graph {
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Box<dyn Iterator<Item = (TermId, TermId, TermId)> + '_> {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                let hit = self.spo.contains(&(s, p, o));
-                Box::new(hit.then_some((s, p, o)).into_iter())
-            }
-            (Some(s), Some(p), None) => {
-                Box::new(self.spo.range((s, p, MIN)..=(s, p, MAX)).copied())
-            }
-            (Some(s), None, None) => {
-                Box::new(self.spo.range((s, MIN, MIN)..=(s, MAX, MAX)).copied())
-            }
-            (None, Some(p), Some(o)) => Box::new(
-                self.pos
-                    .range((p, o, MIN)..=(p, o, MAX))
-                    .map(|&(p, o, s)| (s, p, o)),
-            ),
-            (None, Some(p), None) => Box::new(
-                self.pos
-                    .range((p, MIN, MIN)..=(p, MAX, MAX))
-                    .map(|&(p, o, s)| (s, p, o)),
-            ),
-            (None, None, Some(o)) => Box::new(
-                self.osp
-                    .range((o, MIN, MIN)..=(o, MAX, MAX))
-                    .map(|&(o, s, p)| (s, p, o)),
-            ),
-            (Some(s), None, Some(o)) => Box::new(
-                self.osp
-                    .range((o, s, MIN)..=(o, s, MAX))
-                    .map(|&(o, s, p)| (s, p, o)),
-            ),
-            (None, None, None) => Box::new(self.spo.iter().copied()),
+    ) -> IdsMatching<'_> {
+        let (index, order, lo, hi) = match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => (&self.spo, Order::Spo, (s, p, o), (s, p, o)),
+            (Some(s), Some(p), None) => (&self.spo, Order::Spo, (s, p, MIN), (s, p, MAX)),
+            (Some(s), None, None) => (&self.spo, Order::Spo, (s, MIN, MIN), (s, MAX, MAX)),
+            (None, Some(p), Some(o)) => (&self.pos, Order::Pos, (p, o, MIN), (p, o, MAX)),
+            (None, Some(p), None) => (&self.pos, Order::Pos, (p, MIN, MIN), (p, MAX, MAX)),
+            (None, None, Some(o)) => (&self.osp, Order::Osp, (o, MIN, MIN), (o, MAX, MAX)),
+            (Some(s), None, Some(o)) => (&self.osp, Order::Osp, (o, s, MIN), (o, s, MAX)),
+            (None, None, None) => (&self.spo, Order::Spo, (MIN, MIN, MIN), (MAX, MAX, MAX)),
+        };
+        IdsMatching {
+            range: index.range(lo..=hi),
+            order,
         }
     }
 

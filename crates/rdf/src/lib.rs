@@ -58,7 +58,7 @@ pub mod xsd;
 pub use canon::{canonicalize, isomorphic};
 pub use dataset::{Dataset, GraphName};
 pub use error::{ParseError, RdfError};
-pub use graph::{Graph, TermId};
+pub use graph::{Graph, IdsMatching, TermId};
 pub use namespace::PrefixMap;
 pub use nquads::{parse_nquads, write_nquads};
 pub use ntriples::{parse_ntriples, parse_ntriples_spanned, write_ntriples};
