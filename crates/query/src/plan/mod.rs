@@ -446,7 +446,7 @@ pub(crate) fn rows<'g>(
 }
 
 /// Evaluate to a fully-materialized [`Solutions`]: a collect over
-/// [`rows`]. This is the old `eval::run` contract, byte for byte.
+/// [`rows`].
 pub(crate) fn solutions(
     graph: &Graph,
     query: &Query,

@@ -5,11 +5,11 @@
 //! (Q1–Q6) and a batch of randomized basic graph patterns, draining the
 //! streaming iterator yields a byte-identical solution sequence to the
 //! materialized call. Randomized OPTIONAL/UNION queries are pinned to
-//! recorded results, row-budget charges included. Errors must round-trip too (a
-//! row-budget trip surfaces identically from both APIs), and dropping a
-//! partially-consumed iterator must release its deadline/row-budget
-//! accounting cleanly: per-evaluation state never leaks into the next
-//! run of the same prepared plan.
+//! recorded results, row-budget charges included. Errors must
+//! round-trip too (a row-budget trip surfaces identically from both
+//! APIs), and dropping a partially-consumed iterator must release its
+//! deadline/row-budget accounting cleanly: per-evaluation state never
+//! leaks into the next run of the same prepared plan.
 
 use provbench::corpus::{Corpus, CorpusSpec};
 use provbench::query::exemplar::{
