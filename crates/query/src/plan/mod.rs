@@ -15,9 +15,15 @@
 //! Pipeline shape, bottom to top:
 //!
 //! ```text
-//! Replay → Scan → IndexedJoin* → Filter/Optional/Union*             id space
-//!        → Project | Aggregate → Distinct → OrderBy → Slice → AskGate solution space
+//! Replay → Scan → IndexedJoin* → Filter/Optional/Union*        pattern slots
+//!        → [Aggregate] → OrderBy → Project → Distinct → Slice → AskGate
 //! ```
+//!
+//! Every stage streams id rows; the solution modifiers follow SPARQL
+//! 1.1's order (§18.5). Terms are decoded once, by reference, where a
+//! row leaves the pipeline: [`Rows::try_for_each_row`] hands borrowed
+//! terms to a result writer, and the [`Rows`] iterator decodes into
+//! owned [`Bindings`] for callers that want them.
 //!
 //! Pipeline breakers — operators that must see their whole input
 //! before emitting a row — are `OrderBy`, aggregation/`GROUP BY`,
@@ -30,17 +36,17 @@ pub(crate) mod ops;
 
 use crate::sparql::ast::{GraphPattern, Projection, Query, QueryForm, VarOrIri, VarOrTerm};
 use crate::sparql::eval::{
-    apply_aggregates, estimate, plan_bgp, plan_tp_of_ast, plan_tp_of_resolved, resolve, Bindings,
-    EvalOptions, EvalState, IdRow, PlanTp, QueryError, RPattern, RTriple, Resolved, Solutions,
-    VarTable, UNBOUND,
+    apply_aggregates, decode, estimate, plan_bgp, plan_tp_of_ast, plan_tp_of_resolved, resolve,
+    Bindings, ComputedTerms, EvalOptions, EvalState, IdRow, PlanTp, QueryError, RPattern, RTriple,
+    Resolved, Solutions, VarTable, UNBOUND,
 };
 use ops::{
-    drain, AskGateOp, BoxIdOp, BoxSolOp, BufferedSolOp, DistinctOp, FilterOp, JoinOp, OptionalOp,
-    OrderByOp, ProjectOp, ReplayOp, SliceOp, SpanIdOp, SpanSolOp, UnionOp,
+    drain, AskGateOp, BoxIdOp, DistinctOp, FilterOp, JoinOp, OptionalOp, OrderByOp, ProjectOp,
+    ReplayOp, SliceOp, SortKey, SpanIdOp, UnionOp,
 };
 use provbench_obs::{Registry, LATENCY_BUCKETS};
-use provbench_rdf::Graph;
-use std::collections::BTreeSet;
+use provbench_rdf::{Graph, Term};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Histogram of evaluation times, observed once per evaluation (at
@@ -57,11 +63,24 @@ pub const ROWS_EMITTED_TOTAL: &str = "provbench_query_rows_emitted_total";
 pub const OPERATOR_SECONDS: &str = "provbench_query_operator_seconds";
 
 /// Shared execution context threaded through every operator: the graph,
-/// the deadline/row-budget accounting, and the optional span registry.
+/// the deadline/row-budget accounting, the optional span registry, and
+/// the terms the evaluation computed itself.
 pub(crate) struct ExecCtx<'g> {
     pub(crate) graph: &'g Graph,
     pub(crate) state: EvalState,
     pub(crate) spans: Option<&'g Registry>,
+    /// Aggregate results the graph lacks, with ids from the graph's term
+    /// count up ([`ComputedTerms`]). Fixed once the plan is built; shared
+    /// so that [`Rows`] can lend terms from it while operators run.
+    pub(crate) computed: Rc<[Term]>,
+}
+
+impl ExecCtx<'_> {
+    /// The term behind an id in a row, `None` when unbound.
+    #[inline]
+    pub(crate) fn term(&self, id: u32) -> Option<&Term> {
+        decode(self.graph, &self.computed, id)
+    }
 }
 
 // ------------------------------------------------------------ lowering --
@@ -82,14 +101,6 @@ fn flatten_owned(pattern: RPattern, out: &mut Vec<RPattern>) {
 fn maybe_span_id<'g>(op: BoxIdOp<'g>, name: &'static str, spans: bool) -> BoxIdOp<'g> {
     if spans {
         Box::new(SpanIdOp::new(op, name))
-    } else {
-        op
-    }
-}
-
-fn maybe_span_sol<'g>(op: BoxSolOp<'g>, name: &'static str, spans: bool) -> BoxSolOp<'g> {
-    if spans {
-        Box::new(SpanSolOp::new(op, name))
     } else {
         op
     }
@@ -166,20 +177,33 @@ fn projection_names(query: &Query) -> Vec<String> {
         .collect()
 }
 
-fn keep_of(variables: &[String], vars: &VarTable) -> Vec<(usize, String)> {
-    variables
+/// The position of `name` among `columns`.
+fn column(columns: &[String], name: &str) -> Option<usize> {
+    columns.iter().position(|c| c == name)
+}
+
+/// The names among `columns` bound in at least one of `rows`, sorted:
+/// `SELECT *`'s header.
+fn bound_names(columns: &[String], rows: &[IdRow]) -> Vec<String> {
+    let mut bound = vec![false; columns.len()];
+    for r in rows {
+        for (b, &raw) in bound.iter_mut().zip(r) {
+            *b |= raw != UNBOUND;
+        }
+    }
+    let mut names: Vec<String> = columns
         .iter()
-        .filter_map(|name| {
-            vars.index
-                .get(name.as_str())
-                .map(|&slot| (slot, name.clone()))
-        })
-        .collect()
+        .zip(bound)
+        .filter(|(_, b)| *b)
+        .map(|(n, _)| n.clone())
+        .collect();
+    names.sort();
+    names
 }
 
 struct Built<'g> {
     cx: ExecCtx<'g>,
-    op: BoxSolOp<'g>,
+    op: BoxIdOp<'g>,
     variables: Vec<String>,
 }
 
@@ -205,125 +229,110 @@ fn build<'g>(
         graph,
         state: EvalState::new(opts),
         spans: if opts.operator_spans { metrics } else { None },
+        computed: Rc::from(Vec::new()),
     };
     let spans = cx.spans.is_some();
 
     // Id-row source: the pipeline lowered from the pattern, over the one
     // all-unbound seed row.
     let seed = vec![vec![UNBOUND; nvars]];
-    let mut source = lower(pattern, seed, true, graph, opts.reorder_patterns, spans);
+    let mut op = lower(pattern, seed, true, graph, opts.reorder_patterns, spans);
 
+    // `columns` names the positions of the rows `op` produces: the
+    // pattern's variable slots, or aggregation's output columns.
     let has_aggs = query.has_aggregates() || !query.group_by.is_empty();
+    let mut columns = vars.names;
     let variables: Vec<String>;
-    let mut sol: BoxSolOp<'g>;
     if query.form == QueryForm::Ask {
-        // ASK needs no decoded projection — stream empty rows and let
-        // the gate stop at the first one.
+        // ASK projects nothing; the gate stops at the first row.
         variables = Vec::new();
-        sol = maybe_span_sol(
-            Box::new(ProjectOp::new(source, Vec::new())),
-            "project",
-            spans,
-        );
     } else if has_aggs {
         // Grouping needs every input row: drain the source now.
-        let id_rows = drain(source.as_mut(), &mut cx)?;
-        let mut rows = apply_aggregates(&vars, &group_by, &aggregates, id_rows, graph)?;
+        let id_rows = drain(op.as_mut(), &mut cx)?;
+        let mut computed = ComputedTerms::new(graph);
+        let (agg_columns, rows) =
+            apply_aggregates(&columns, &group_by, &aggregates, id_rows, &mut computed)?;
+        cx.computed = computed.into_terms().into();
+        columns = agg_columns;
         variables = if query.projections.is_empty() {
-            let mut names: BTreeSet<String> = BTreeSet::new();
-            for r in &rows {
-                names.extend(r.keys().cloned());
-            }
-            names.into_iter().collect()
+            bound_names(&columns, &rows)
         } else {
             projection_names(query)
         };
-        for row in &mut rows {
-            row.retain(|k, _| variables.contains(k));
-        }
-        sol = maybe_span_sol(Box::new(BufferedSolOp::new(rows)), "aggregate", spans);
+        op = maybe_span_id(Box::new(ReplayOp::new(rows)), "aggregate", spans);
     } else if query.projections.is_empty() {
         // SELECT *: the header (variables bound in at least one row,
         // sorted) is data-dependent, so the id rows materialize first.
-        let id_rows = drain(source.as_mut(), &mut cx)?;
-        let mut bound = vec![false; nvars];
-        for r in &id_rows {
-            for (slot, &raw) in r.iter().enumerate() {
-                if raw != UNBOUND {
-                    bound[slot] = true;
-                }
-            }
-        }
-        let mut names: Vec<String> = vars
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| bound[*slot])
-            .map(|(_, n)| n.clone())
-            .collect();
-        names.sort();
-        variables = names;
-        let keep = keep_of(&variables, &vars);
-        sol = maybe_span_sol(
-            Box::new(ProjectOp::new(Box::new(ReplayOp::new(id_rows)), keep)),
-            "project",
-            spans,
-        );
+        let id_rows = drain(op.as_mut(), &mut cx)?;
+        variables = bound_names(&columns, &id_rows);
+        op = Box::new(ReplayOp::new(id_rows));
     } else {
         variables = projection_names(query);
-        let keep = keep_of(&variables, &vars);
-        sol = maybe_span_sol(Box::new(ProjectOp::new(source, keep)), "project", spans);
     }
 
-    // Solution modifiers, in SPARQL's order: DISTINCT → ORDER BY →
-    // OFFSET/LIMIT → ASK gate.
-    if query.distinct {
-        sol = maybe_span_sol(Box::new(DistinctOp::new(sol)), "distinct", spans);
-    }
+    // Solution modifiers in SPARQL 1.1's order (§18.5): ORDER BY →
+    // projection → DISTINCT → OFFSET/LIMIT, then the ASK gate. Sorting
+    // whole rows before projection lets a key outside the projection
+    // order the result. For projected keys the output is what sorting
+    // after DISTINCT gives: all copies of a projected row carry the same
+    // keys, so they fall in one tie group, which a stable sort keeps in
+    // input order — DISTINCT then keeps the same first copy, in the same
+    // place among the distinct rows.
     if !query.order_by.is_empty() {
-        sol = maybe_span_sol(
-            Box::new(OrderByOp::new(sol, query.order_by.clone())),
-            "orderby",
-            spans,
-        );
+        let keys = query
+            .order_by
+            .iter()
+            .map(|k| SortKey {
+                column: column(&columns, &k.var),
+                descending: k.descending,
+            })
+            .collect();
+        op = maybe_span_id(Box::new(OrderByOp::new(op, keys)), "orderby", spans);
+    }
+    let projected = variables.iter().map(|v| column(&columns, v)).collect();
+    op = maybe_span_id(Box::new(ProjectOp::new(op, projected)), "project", spans);
+    if query.distinct {
+        op = maybe_span_id(Box::new(DistinctOp::new(op)), "distinct", spans);
     }
     if query.offset > 0 || query.limit.is_some() {
-        sol = maybe_span_sol(
-            Box::new(SliceOp::new(sol, query.offset, query.limit)),
+        op = maybe_span_id(
+            Box::new(SliceOp::new(op, query.offset, query.limit)),
             "slice",
             spans,
         );
     }
     if query.form == QueryForm::Ask {
-        sol = maybe_span_sol(Box::new(AskGateOp::new(sol)), "ask", spans);
+        op = maybe_span_id(Box::new(AskGateOp::new(op)), "ask", spans);
     }
 
-    Ok(Built {
-        cx,
-        op: sol,
-        variables,
-    })
+    Ok(Built { cx, op, variables })
 }
 
 // ----------------------------------------------------------- execution --
 
-/// A streaming query result: the projected header plus an iterator of
-/// solution rows, pulled on demand through the physical plan.
+/// A streaming query result: the projected header plus its solution
+/// rows, pulled on demand through the physical plan.
 ///
 /// Yielded by [`PreparedQuery::rows`](crate::PreparedQuery::rows).
-/// Draining it fully produces exactly the rows (and, on over-budget
+/// Rows come out in two forms over the same stream:
+/// [`try_for_each_row`](Self::try_for_each_row) lends each row's terms
+/// straight from the graph (what the endpoint's result writers take),
+/// and the [`Iterator`] impl decodes each row into owned [`Bindings`].
+/// Draining either produces exactly the rows (and, on over-budget
 /// queries, exactly the error) that `select()` returns — `select()` is
-/// literally a collect over this iterator. Stopping early is the point:
+/// literally a collect over the iterator. Stopping early is the point:
 /// dropping a partially-consumed `Rows` abandons the remaining scans,
 /// releases the deadline/row-budget accounting that lived inside it,
 /// and still records its metrics exactly once.
 ///
-/// After the first `Err` (or the end of the stream) the iterator is
-/// fused: every later `next()` returns `None`.
+/// After the first `Err` (or the end of the stream) the stream is
+/// fused: every later pull yields nothing.
 pub struct Rows<'g> {
     cx: ExecCtx<'g>,
-    op: BoxSolOp<'g>,
+    op: BoxIdOp<'g>,
     variables: Vec<String>,
+    /// The current row: one id per variable, in `variables` order.
+    row: IdRow,
     registry: Option<&'g Registry>,
     started: Instant,
     emitted: u64,
@@ -339,6 +348,48 @@ impl<'g> Rows<'g> {
         &self.variables
     }
 
+    /// Call `f` with each remaining row, as one term per variable in
+    /// [`variables`](Self::variables) order (`None` where unbound). The
+    /// terms are borrowed, never cloned; the slice is only valid for
+    /// the call. Stops at the first evaluation error and returns it.
+    pub fn try_for_each_row(
+        &mut self,
+        mut f: impl FnMut(&[Option<&Term>]),
+    ) -> Result<(), QueryError> {
+        let graph = self.cx.graph;
+        let computed = Rc::clone(&self.cx.computed);
+        let mut cells = Vec::with_capacity(self.variables.len());
+        while self.advance()? {
+            cells.clear();
+            cells.extend(self.row.iter().map(|&id| decode(graph, &computed, id)));
+            f(&cells);
+        }
+        Ok(())
+    }
+
+    /// Pull the next row into `self.row`; `false` at the end.
+    fn advance(&mut self) -> Result<bool, QueryError> {
+        if self.finished {
+            return Ok(false);
+        }
+        match self.op.next(&mut self.cx, &mut self.row) {
+            Ok(true) => {
+                self.emitted += 1;
+                Ok(true)
+            }
+            Ok(false) => {
+                self.finished = true;
+                self.finalize("ok");
+                Ok(false)
+            }
+            Err(e) => {
+                self.finished = true;
+                self.finalize(outcome_of(&e));
+                Err(e)
+            }
+        }
+    }
+
     fn finalize(&mut self, outcome: &'static str) {
         if self.recorded {
             return;
@@ -350,28 +401,23 @@ impl<'g> Rows<'g> {
     }
 }
 
+/// Decodes each row into owned [`Bindings`] (unbound variables absent).
 impl<'g> Iterator for Rows<'g> {
     type Item = Result<Bindings, QueryError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
-        }
-        match self.op.next(&mut self.cx) {
-            Ok(Some(row)) => {
-                self.emitted += 1;
-                Some(Ok(row))
+        match self.advance() {
+            Ok(true) => {
+                let mut b = Bindings::new();
+                for (name, &id) in self.variables.iter().zip(&self.row) {
+                    if let Some(t) = self.cx.term(id) {
+                        b.insert(name.clone(), t.clone());
+                    }
+                }
+                Some(Ok(b))
             }
-            Ok(None) => {
-                self.finished = true;
-                self.finalize("ok");
-                None
-            }
-            Err(e) => {
-                self.finished = true;
-                self.finalize(outcome_of(&e));
-                Some(Err(e))
-            }
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -430,6 +476,7 @@ pub(crate) fn rows<'g>(
             cx: built.cx,
             op: built.op,
             variables: built.variables,
+            row: IdRow::new(),
             registry: metrics,
             started,
             emitted: 0,
@@ -520,6 +567,12 @@ fn explain_impl(graph: Option<&Graph>, query: &Query, opts: &EvalOptions) -> Str
             ));
         }
     }
+    if !query.order_by.is_empty() {
+        out.push_str(&format!(
+            "  OrderBy {:?} (materializes)\n",
+            query.order_by.iter().map(|k| &k.var).collect::<Vec<_>>()
+        ));
+    }
     if query.form == QueryForm::Select {
         if query.projections.is_empty() && !has_aggs {
             out.push_str("  Project * (materializes: header is data-dependent)\n");
@@ -529,12 +582,6 @@ fn explain_impl(graph: Option<&Graph>, query: &Query, opts: &EvalOptions) -> Str
     }
     if query.distinct {
         out.push_str("  Distinct (streamed)\n");
-    }
-    if !query.order_by.is_empty() {
-        out.push_str(&format!(
-            "  OrderBy {:?} (materializes)\n",
-            query.order_by.iter().map(|k| &k.var).collect::<Vec<_>>()
-        ));
     }
     if query.offset > 0 {
         out.push_str(&format!("  Offset {}\n", query.offset));

@@ -7,35 +7,35 @@
 //! the pipeline stops the scans at the bottom after `k` rows and
 //! `ask()` stops after the first.
 //!
-//! Operators come in two row spaces, mirroring the evaluator's two
-//! stages:
+//! Every operator streams compact [`IdRow`]s of interned term ids
+//! through one interface ([`IdOperator`]), written into caller-owned
+//! buffers:
 //!
-//! - **Id operators** ([`IdOperator`]) stream compact [`IdRow`]s of
-//!   interned term ids: [`ReplayOp`] (the leaf of every chain),
-//!   [`JoinOp`] (a scan when its input is the seed row, an indexed
-//!   nested-loop join otherwise), [`FilterOp`], [`OptionalOp`] and
-//!   [`UnionOp`]. An id-operator chain can be re-opened over new input
-//!   ([`IdOperator::open`]): that is how an OPTIONAL inner pattern runs
-//!   once per outer row and a UNION arm once over the union's input,
-//!   each lowered into operators once, when the plan is built.
-//! - **Solution operators** ([`SolOperator`]) stream decoded
-//!   [`Bindings`]: [`ProjectOp`], [`BufferedSolOp`], [`DistinctOp`],
-//!   [`OrderByOp`], [`SliceOp`], [`AskGateOp`].
+//! - **Pattern operators** run over the query's variable slots:
+//!   [`ReplayOp`] (the leaf of every chain), [`JoinOp`] (a scan when its
+//!   input is the seed row, an indexed nested-loop join otherwise),
+//!   [`FilterOp`], [`OptionalOp`] and [`UnionOp`]. A chain can be
+//!   re-opened over new input ([`IdOperator::open`]): that is how an
+//!   OPTIONAL inner pattern runs once per outer row and a UNION arm once
+//!   over the union's input, each lowered into operators once, when the
+//!   plan is built.
+//! - **Solution operators** apply the modifiers in SPARQL 1.1's order
+//!   (§18.5): [`OrderByOp`], [`ProjectOp`], [`DistinctOp`], [`SliceOp`]
+//!   and [`AskGateOp`]. Aggregation's output is replayed by a
+//!   [`ReplayOp`] like any other materialized input.
 //!
-//! The split keeps joins in id space (term decode happens exactly once,
-//! at projection) and keeps the solution modifiers in the same order
-//! the SPARQL algebra applies them — projection, DISTINCT, ORDER BY,
-//! OFFSET/LIMIT.
+//! No operator decodes a term except to compare it (`FILTER`, `ORDER
+//! BY`, `MIN`/`MAX`); rows are decoded once, by reference, where they
+//! leave the pipeline ([`Rows`](super::Rows)).
 
 use super::{ExecCtx, OPERATOR_SECONDS};
-use crate::sparql::ast::OrderKey;
 use crate::sparql::eval::{
-    bind_slot, compare_terms, effective_boolean, eval_expr, slot_term, Bindings, IdRow, QueryError,
-    RExpr, RPos, RTriple, UNBOUND,
+    bind_slot, compare_terms, effective_boolean, eval_expr, IdRow, QueryError, RExpr, RPos,
+    RTriple, UNBOUND,
 };
 use provbench_obs::LATENCY_BUCKETS;
 use provbench_rdf::{IdsMatching, Term, TermId};
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// A pull-based operator over compact id rows.
@@ -53,14 +53,6 @@ pub(crate) trait IdOperator<'g> {
 }
 
 pub(crate) type BoxIdOp<'g> = Box<dyn IdOperator<'g> + 'g>;
-
-/// A pull-based operator over decoded solution rows.
-pub(crate) trait SolOperator<'g> {
-    /// Produce the next row, or `None` when the stream is exhausted.
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError>;
-}
-
-pub(crate) type BoxSolOp<'g> = Box<dyn SolOperator<'g> + 'g>;
 
 // -------------------------------------------------------- id operators --
 
@@ -334,141 +326,168 @@ pub(crate) fn drain<'g>(
 }
 
 // -------------------------------------------------- solution operators --
+//
+// The solution modifiers stream id rows too. Their rows are positional:
+// `OrderBy` sees the rows it sorts in the child's layout (pattern slots,
+// or aggregate columns), `Project` rewrites them into the projected
+// variables' order, and everything above it keeps that order. Terms are
+// decoded only where a row leaves the pipeline.
 
-/// Decode the projected slots of each id row into named [`Bindings`].
-/// This is the only place terms are decoded on the streaming path.
+/// One `ORDER BY` key: the column it reads (`None`: a variable the rows
+/// never bind) and its direction.
+pub(crate) struct SortKey {
+    pub(crate) column: Option<usize>,
+    pub(crate) descending: bool,
+}
+
+/// `ORDER BY`: the pipeline breaker. Drains its child on the first
+/// pull, looks each row's key terms up once (borrowed, never cloned),
+/// sorts stably with [`compare_terms`] (unbound keys first, `DESC`
+/// reverses per key), then streams the rows in sorted order — so
+/// `LIMIT` above still short-circuits the *emission*, though not the
+/// sort itself.
+pub(crate) struct OrderByOp<'g> {
+    child: BoxIdOp<'g>,
+    keys: Vec<SortKey>,
+    /// The drained rows and the order to emit them in, once sorted.
+    rows: Vec<IdRow>,
+    order: Option<std::vec::IntoIter<usize>>,
+}
+
+impl<'g> OrderByOp<'g> {
+    pub(crate) fn new(child: BoxIdOp<'g>, keys: Vec<SortKey>) -> Self {
+        OrderByOp {
+            child,
+            keys,
+            rows: Vec::new(),
+            order: None,
+        }
+    }
+
+    fn sort(&mut self, cx: &mut ExecCtx<'g>) -> Result<(), QueryError> {
+        self.rows = drain(self.child.as_mut(), cx)?;
+        let width = self.keys.len();
+        let mut terms: Vec<Option<&Term>> = Vec::with_capacity(self.rows.len() * width);
+        for row in &self.rows {
+            terms.extend(
+                self.keys
+                    .iter()
+                    .map(|k| k.column.and_then(|c| cx.term(row[c]))),
+            );
+        }
+        let mut order: Vec<usize> = (0..self.rows.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (xs, ys) = (&terms[a * width..][..width], &terms[b * width..][..width]);
+            for ((x, y), key) in xs.iter().zip(ys).zip(&self.keys) {
+                let ord = match (x, y) {
+                    (None, None) => std::cmp::Ordering::Equal,
+                    (None, Some(_)) => std::cmp::Ordering::Less,
+                    (Some(_), None) => std::cmp::Ordering::Greater,
+                    (Some(x), Some(y)) => compare_terms(x, y).unwrap_or(std::cmp::Ordering::Equal),
+                };
+                let ord = if key.descending { ord.reverse() } else { ord };
+                if !ord.is_eq() {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+        self.order = Some(order.into_iter());
+        Ok(())
+    }
+}
+
+impl<'g> IdOperator<'g> for OrderByOp<'g> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
+        if self.order.is_none() {
+            self.sort(cx)?;
+        }
+        match self.order.as_mut().and_then(Iterator::next) {
+            Some(i) => {
+                out.clone_from(&self.rows[i]);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    fn open(&mut self, input: &[IdRow]) {
+        self.rows.clear();
+        self.order = None;
+        self.child.open(input);
+    }
+}
+
+/// Projection: rewrite each row into the projected variables' order,
+/// one column per projected variable (`None`: a variable the rows
+/// never bind, which stays unbound).
 pub(crate) struct ProjectOp<'g> {
     child: BoxIdOp<'g>,
-    keep: Vec<(usize, String)>,
+    columns: Vec<Option<usize>>,
     row: IdRow,
 }
 
 impl<'g> ProjectOp<'g> {
-    pub(crate) fn new(child: BoxIdOp<'g>, keep: Vec<(usize, String)>) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, columns: Vec<Option<usize>>) -> Self {
         ProjectOp {
             child,
-            keep,
+            columns,
             row: IdRow::new(),
         }
     }
 }
 
-impl<'g> SolOperator<'g> for ProjectOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
+impl<'g> IdOperator<'g> for ProjectOp<'g> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         if !self.child.next(cx, &mut self.row)? {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut b = Bindings::new();
-        for (slot, name) in &self.keep {
-            if let Some(t) = slot_term(&self.row, *slot, cx.graph) {
-                b.insert(name.clone(), t.clone());
-            }
-        }
-        Ok(Some(b))
+        out.clear();
+        out.extend(
+            self.columns
+                .iter()
+                .map(|c| c.map_or(UNBOUND, |c| self.row[c])),
+        );
+        Ok(true)
+    }
+
+    fn open(&mut self, input: &[IdRow]) {
+        self.child.open(input);
     }
 }
 
-/// Replay precomputed solution rows (the aggregate path computes its
-/// groups eagerly — grouping needs every input row).
-pub(crate) struct BufferedSolOp {
-    rows: std::vec::IntoIter<Bindings>,
-}
-
-impl BufferedSolOp {
-    pub(crate) fn new(rows: Vec<Bindings>) -> Self {
-        BufferedSolOp {
-            rows: rows.into_iter(),
-        }
-    }
-}
-
-impl<'g> SolOperator<'g> for BufferedSolOp {
-    fn next(&mut self, _cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        Ok(self.rows.next())
-    }
-}
-
-/// `DISTINCT`, streaming: emit each row the first time it is seen.
-/// First-occurrence order is kept, and under a `LIMIT` the pipeline
-/// stops once enough *distinct* rows came through.
+/// `DISTINCT`, streaming: emit each row the first time it is seen,
+/// comparing ids — equal exactly when the terms are. First-occurrence
+/// order is kept, and under a `LIMIT` the pipeline stops once enough
+/// *distinct* rows came through.
 pub(crate) struct DistinctOp<'g> {
-    child: BoxSolOp<'g>,
-    seen: BTreeSet<Bindings>,
+    child: BoxIdOp<'g>,
+    seen: HashSet<IdRow>,
 }
 
 impl<'g> DistinctOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>) -> Self {
         DistinctOp {
             child,
-            seen: BTreeSet::new(),
+            seen: HashSet::new(),
         }
     }
 }
 
-impl<'g> SolOperator<'g> for DistinctOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        loop {
-            let Some(row) = self.child.next(cx)? else {
-                return Ok(None);
-            };
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
+impl<'g> IdOperator<'g> for DistinctOp<'g> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
+        while self.child.next(cx, out)? {
+            if !self.seen.contains(out) {
+                self.seen.insert(out.clone());
+                return Ok(true);
             }
         }
+        Ok(false)
     }
-}
 
-/// `ORDER BY`: the pipeline breaker. Drains its child on the first
-/// pull, sorts with a stable comparator (unbound keys first, `DESC`
-/// reverses per key), then streams the sorted rows — so `LIMIT` above
-/// still short-circuits the *emission*, though not the sort itself.
-pub(crate) struct OrderByOp<'g> {
-    child: BoxSolOp<'g>,
-    keys: Vec<OrderKey>,
-    sorted: Option<std::vec::IntoIter<Bindings>>,
-}
-
-impl<'g> OrderByOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>, keys: Vec<OrderKey>) -> Self {
-        OrderByOp {
-            child,
-            keys,
-            sorted: None,
-        }
-    }
-}
-
-impl<'g> SolOperator<'g> for OrderByOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        if self.sorted.is_none() {
-            // Look each row's sort keys up once, not once per comparison.
-            let mut keyed = Vec::new();
-            while let Some(r) = self.child.next(cx)? {
-                let keys: Vec<Option<Term>> =
-                    self.keys.iter().map(|k| r.get(&k.var).cloned()).collect();
-                keyed.push((keys, r));
-            }
-            keyed.sort_by(|(a, _), (b, _)| {
-                for ((x, y), key) in a.iter().zip(b).zip(&self.keys) {
-                    let ord = match (x, y) {
-                        (None, None) => std::cmp::Ordering::Equal,
-                        (None, Some(_)) => std::cmp::Ordering::Less,
-                        (Some(_), None) => std::cmp::Ordering::Greater,
-                        (Some(x), Some(y)) => {
-                            compare_terms(x, y).unwrap_or(std::cmp::Ordering::Equal)
-                        }
-                    };
-                    let ord = if key.descending { ord.reverse() } else { ord };
-                    if !ord.is_eq() {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let rows: Vec<Bindings> = keyed.into_iter().map(|(_, r)| r).collect();
-            self.sorted = Some(rows.into_iter());
-        }
-        Ok(self.sorted.as_mut().and_then(|it| it.next()))
+    fn open(&mut self, input: &[IdRow]) {
+        self.seen.clear();
+        self.child.open(input);
     }
 }
 
@@ -476,40 +495,50 @@ impl<'g> SolOperator<'g> for OrderByOp<'g> {
 /// pulled again — this is the operator that turns `LIMIT k` into an
 /// early stop for every streaming operator below it.
 pub(crate) struct SliceOp<'g> {
-    child: BoxSolOp<'g>,
+    child: BoxIdOp<'g>,
+    offset: usize,
+    limit: Option<usize>,
     skip: usize,
     remaining: Option<usize>,
 }
 
 impl<'g> SliceOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>, offset: usize, limit: Option<usize>) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>, offset: usize, limit: Option<usize>) -> Self {
         SliceOp {
             child,
+            offset,
+            limit,
             skip: offset,
             remaining: limit,
         }
     }
 }
 
-impl<'g> SolOperator<'g> for SliceOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
+impl<'g> IdOperator<'g> for SliceOp<'g> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         if self.remaining == Some(0) {
-            return Ok(None);
+            return Ok(false);
         }
         while self.skip > 0 {
-            if self.child.next(cx)?.is_none() {
+            if !self.child.next(cx, out)? {
                 self.skip = 0;
-                return Ok(None);
+                return Ok(false);
             }
             self.skip -= 1;
         }
-        let Some(row) = self.child.next(cx)? else {
-            return Ok(None);
-        };
+        if !self.child.next(cx, out)? {
+            return Ok(false);
+        }
         if let Some(n) = &mut self.remaining {
             *n -= 1;
         }
-        Ok(Some(row))
+        Ok(true)
+    }
+
+    fn open(&mut self, input: &[IdRow]) {
+        self.skip = self.offset;
+        self.remaining = self.limit;
+        self.child.open(input);
     }
 }
 
@@ -517,23 +546,30 @@ impl<'g> SolOperator<'g> for SliceOp<'g> {
 /// boolean result in `Solutions` shape (one empty row = true, none =
 /// false). Everything below it stops after the first solution.
 pub(crate) struct AskGateOp<'g> {
-    child: BoxSolOp<'g>,
+    child: BoxIdOp<'g>,
     done: bool,
 }
 
 impl<'g> AskGateOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>) -> Self {
+    pub(crate) fn new(child: BoxIdOp<'g>) -> Self {
         AskGateOp { child, done: false }
     }
 }
 
-impl<'g> SolOperator<'g> for AskGateOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
+impl<'g> IdOperator<'g> for AskGateOp<'g> {
+    fn next(&mut self, cx: &mut ExecCtx<'g>, out: &mut IdRow) -> Result<bool, QueryError> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         self.done = true;
-        Ok(self.child.next(cx)?.map(|_| Bindings::new()))
+        let found = self.child.next(cx, out)?;
+        out.clear();
+        Ok(found)
+    }
+
+    fn open(&mut self, input: &[IdRow]) {
+        self.done = false;
+        self.child.open(input);
     }
 }
 
@@ -566,27 +602,6 @@ impl<'g> IdOperator<'g> for SpanIdOp<'g> {
 
     fn open(&mut self, input: &[IdRow]) {
         self.child.open(input);
-    }
-}
-
-/// [`SpanIdOp`], for the solution layer.
-pub(crate) struct SpanSolOp<'g> {
-    child: BoxSolOp<'g>,
-    name: &'static str,
-}
-
-impl<'g> SpanSolOp<'g> {
-    pub(crate) fn new(child: BoxSolOp<'g>, name: &'static str) -> Self {
-        SpanSolOp { child, name }
-    }
-}
-
-impl<'g> SolOperator<'g> for SpanSolOp<'g> {
-    fn next(&mut self, cx: &mut ExecCtx<'g>) -> Result<Option<Bindings>, QueryError> {
-        let start = Instant::now();
-        let result = self.child.next(cx);
-        observe_span(cx, self.name, start);
-        result
     }
 }
 

@@ -767,14 +767,82 @@ fn kind_rank(t: &Term) -> u8 {
 
 // --------------------------------------------------------- aggregates --
 
+/// Terms an evaluation computes that the graph lacks (`COUNT` results),
+/// given ids after the graph's own dense ids so that id rows can carry
+/// them. A computed term equal to a graph term takes the graph's id and
+/// equal computed terms share one, so two ids are equal exactly when
+/// their terms are — which `DISTINCT` relies on.
+pub(crate) struct ComputedTerms<'g> {
+    graph: &'g Graph,
+    terms: Vec<Term>,
+    index: HashMap<Term, u32>,
+}
+
+impl<'g> ComputedTerms<'g> {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
+        ComputedTerms {
+            graph,
+            terms: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    fn intern(&mut self, term: Term) -> u32 {
+        if let Some(id) = self.graph.term_to_id(&term) {
+            return id.to_u32();
+        }
+        if let Some(&id) = self.index.get(&term) {
+            return id;
+        }
+        let id = (self.graph.term_count() + self.terms.len()) as u32;
+        self.terms.push(term.clone());
+        self.index.insert(term, id);
+        id
+    }
+
+    /// The computed terms, indexed by id minus the graph's term count.
+    pub(crate) fn into_terms(self) -> Vec<Term> {
+        self.terms
+    }
+}
+
+/// The term behind `id`: a graph term, or one of the evaluation's
+/// `computed` terms (ids from the graph's term count up). `None` for an
+/// unbound slot.
+#[inline]
+pub(crate) fn decode<'a>(graph: &'a Graph, computed: &'a [Term], id: u32) -> Option<&'a Term> {
+    if id == UNBOUND {
+        return None;
+    }
+    let base = graph.term_count() as u32;
+    if id < base {
+        Some(graph.id_to_term(TermId::from_u32(id)))
+    } else {
+        computed.get((id - base) as usize)
+    }
+}
+
+/// The position of `name` in `columns`, appended if new.
+fn column_of(columns: &mut Vec<String>, name: &str) -> usize {
+    columns.iter().position(|c| c == name).unwrap_or_else(|| {
+        columns.push(name.to_owned());
+        columns.len() - 1
+    })
+}
+
+/// Group id rows (whose slots `names` names) by the `GROUP BY` key and
+/// compute the aggregates, all in id space. Returns the output columns (the grouped variables, then
+/// the aggregate aliases, each name once) and one row per group over
+/// them, ordered by the decoded group key. When an alias reuses a
+/// grouped variable's name, a bound aggregate value wins.
 pub(crate) fn apply_aggregates(
-    vars: &VarTable,
+    names: &[String],
     group_by: &[usize],
     aggregates: &[RAggregate],
     rows: Vec<IdRow>,
-    graph: &Graph,
-) -> Result<Vec<Bindings>, QueryError> {
-    // Group rows by the GROUP BY key, still in id-space.
+    computed: &mut ComputedTerms<'_>,
+) -> Result<(Vec<String>, Vec<IdRow>), QueryError> {
+    let graph = computed.graph;
     let mut groups: BTreeMap<Vec<u32>, Vec<IdRow>> = BTreeMap::new();
     for row in rows {
         let key: Vec<u32> = group_by.iter().map(|&slot| row[slot]).collect();
@@ -786,27 +854,37 @@ pub(crate) fn apply_aggregates(
         groups.insert(Vec::new(), Vec::new());
     }
 
-    // Decode the group keys and emit output in term order (matching the
-    // pre-interning evaluator, which grouped on decoded terms).
-    let mut keyed: Vec<(Vec<Option<Term>>, Bindings)> = Vec::with_capacity(groups.len());
+    let mut columns = Vec::new();
+    let key_cols: Vec<usize> = group_by
+        .iter()
+        .map(|&slot| column_of(&mut columns, &names[slot]))
+        .collect();
+    let agg_cols: Vec<usize> = aggregates
+        .iter()
+        .map(|agg| column_of(&mut columns, &agg.alias))
+        .collect();
+
+    // Emit groups in decoded-key order (matching the pre-interning
+    // evaluator, which grouped on decoded terms).
+    let mut groups: Vec<(Vec<u32>, Vec<IdRow>)> = groups.into_iter().collect();
+    groups.sort_by(|(a, _), (b, _)| {
+        let term = |&id: &u32| decode(graph, &[], id);
+        a.iter().map(term).cmp(b.iter().map(term))
+    });
+    let count = |n: usize| Term::Literal(provbench_rdf::Literal::integer(n as i64));
+    let mut out = Vec::with_capacity(groups.len());
     for (key, members) in groups {
-        let decoded_key: Vec<Option<Term>> = key
-            .iter()
-            .map(|&raw| (raw != UNBOUND).then(|| graph.id_to_term(TermId::from_u32(raw)).clone()))
-            .collect();
-        let mut out_row = Bindings::new();
-        for (&slot, term) in group_by.iter().zip(&decoded_key) {
-            if let Some(t) = term {
-                out_row.insert(vars.names[slot].clone(), t.clone());
+        let mut row = vec![UNBOUND; columns.len()];
+        for (&col, &id) in key_cols.iter().zip(&key) {
+            if id != UNBOUND {
+                row[col] = id;
             }
         }
-        for agg in aggregates {
-            let value = match (agg.function, agg.var) {
-                (AggregateFn::Count, None) => {
-                    Term::Literal(provbench_rdf::Literal::integer(members.len() as i64))
-                }
-                (AggregateFn::Count, Some(slot)) => Term::Literal(provbench_rdf::Literal::integer(
-                    members.iter().filter(|m| m[slot] != UNBOUND).count() as i64,
+        for (agg, &col) in aggregates.iter().zip(&agg_cols) {
+            row[col] = match (agg.function, agg.var) {
+                (AggregateFn::Count, None) => computed.intern(count(members.len())),
+                (AggregateFn::Count, Some(slot)) => computed.intern(count(
+                    members.iter().filter(|m| m[slot] != UNBOUND).count(),
                 )),
                 (AggregateFn::CountDistinct, Some(slot)) => {
                     let distinct: BTreeSet<u32> = members
@@ -814,15 +892,15 @@ pub(crate) fn apply_aggregates(
                         .map(|m| m[slot])
                         .filter(|&raw| raw != UNBOUND)
                         .collect();
-                    Term::Literal(provbench_rdf::Literal::integer(distinct.len() as i64))
+                    computed.intern(count(distinct.len()))
                 }
                 (AggregateFn::Min | AggregateFn::Max, Some(slot)) => {
-                    let mut best: Option<&Term> = None;
+                    let mut best: Option<(u32, &Term)> = None;
                     for m in &members {
                         if let Some(t) = slot_term(m, slot, graph) {
                             let better = match best {
                                 None => true,
-                                Some(cur) => {
+                                Some((_, cur)) => {
                                     let ord =
                                         compare_terms(t, cur).unwrap_or(std::cmp::Ordering::Equal);
                                     if agg.function == AggregateFn::Min {
@@ -833,24 +911,22 @@ pub(crate) fn apply_aggregates(
                                 }
                             };
                             if better {
-                                best = Some(t);
+                                best = Some((m[slot], t));
                             }
                         }
                     }
                     match best {
-                        Some(t) => t.clone(),
+                        Some((id, _)) => id,
                         None => continue, // no values: leave alias unbound
                     }
                 }
                 // Unreachable: resolution already rejected these shapes.
                 (f, None) => return Err(QueryError::Eval(format!("{f:?} needs a variable"))),
             };
-            out_row.insert(agg.alias.clone(), value);
         }
-        keyed.push((decoded_key, out_row));
+        out.push(row);
     }
-    keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+    Ok((columns, out))
 }
 
 // ---------------------------------------------------------- execution --
@@ -1078,6 +1154,59 @@ mod tests {
             run_q("PREFIX e: <http://e/> SELECT ?r ?s WHERE { ?r e:size ?s } ORDER BY ?s OFFSET 1");
         assert_eq!(s2.len(), 2);
         assert_eq!(s2.get(0, "s").unwrap(), &Term::Literal(Literal::integer(5)));
+    }
+
+    #[test]
+    fn order_by_a_variable_outside_the_projection() {
+        let (g, _) = parse_turtle(
+            "@prefix e: <http://e/> . e:a e:rank 3 . e:b e:rank 1 . e:c e:rank 2 .",
+        )
+        .unwrap();
+        let subjects = |q: &str| -> Vec<String> {
+            let s = run(&g, &parse_query(q).unwrap(), &EvalOptions::default()).unwrap();
+            assert_eq!(s.variables, ["s"]);
+            s.rows.iter().map(|r| r["s"].to_string()).collect()
+        };
+        let asc = "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:rank ?r } ORDER BY ?r";
+        assert_eq!(subjects(asc), ["<http://e/b>", "<http://e/c>", "<http://e/a>"]);
+        let desc = "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:rank ?r } ORDER BY DESC(?r)";
+        assert_eq!(subjects(desc), ["<http://e/a>", "<http://e/c>", "<http://e/b>"]);
+        // The key orders before DISTINCT and LIMIT apply.
+        let top = "PREFIX e: <http://e/> SELECT DISTINCT ?s WHERE { ?s e:rank ?r } \
+                   ORDER BY DESC(?r) LIMIT 1";
+        assert_eq!(subjects(top), ["<http://e/a>"]);
+        // A grouped variable orders the groups even when only the
+        // aggregate is projected.
+        let (g, _) = parse_turtle(
+            "@prefix e: <http://e/> . e:x e:in e:g2 . e:y e:in e:g2 . e:z e:in e:g1 .",
+        )
+        .unwrap();
+        let q = "PREFIX e: <http://e/> SELECT (COUNT(?m) AS ?n) WHERE { ?m e:in ?g } \
+                 GROUP BY ?g ORDER BY DESC(?g)";
+        let s = run(&g, &parse_query(q).unwrap(), &EvalOptions::default()).unwrap();
+        let counts: Vec<String> = s.rows.iter().map(|r| r["n"].to_string()).collect();
+        let (two, one) = (Literal::integer(2), Literal::integer(1));
+        assert_eq!(counts, [two.to_string(), one.to_string()]);
+    }
+
+    #[test]
+    fn distinct_over_counts_compares_values() {
+        // Three groups, two distinct counts — one of which also occurs
+        // in the graph as a literal, so its id comes from the graph.
+        let (g, _) = parse_turtle(
+            "@prefix e: <http://e/> . e:x e:in e:g1 . e:y e:in e:g1 . e:z e:in e:g2 . \
+             e:w e:in e:g3 . e:v e:in e:g3 . e:k e:size 2 .",
+        )
+        .unwrap();
+        let q = "PREFIX e: <http://e/> SELECT DISTINCT (COUNT(?m) AS ?n) WHERE { ?m e:in ?g } \
+                 GROUP BY ?g";
+        let s = run(&g, &parse_query(q).unwrap(), &EvalOptions::default()).unwrap();
+        let counts: Vec<&Term> = s.rows.iter().map(|r| &r["n"]).collect();
+        let (two, one) = (
+            Term::Literal(Literal::integer(2)),
+            Term::Literal(Literal::integer(1)),
+        );
+        assert_eq!(counts, [&two, &one]);
     }
 
     #[test]
