@@ -3,7 +3,7 @@
 //! dependencies.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 
 /// A parsed HTTP request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -284,13 +284,11 @@ impl Response {
         }
     }
 
-    /// Serialize the whole response — status line, headers, body — to
-    /// one buffer. The server writes a response as a single buffer so a
-    /// partial write surfaces as an error it can count, instead of a
-    /// silently truncated response on the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 256);
-        // Writing into a Vec cannot fail.
+    /// The status line and headers, through the blank line ending them.
+    fn head(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(160);
+        // Writing into a String cannot fail.
         let _ = write!(
             out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}; charset=utf-8\r\nContent-Length: {}\r\n",
@@ -302,14 +300,44 @@ impl Response {
         for (name, value) in &self.headers {
             let _ = write!(out, "{name}: {value}\r\n");
         }
-        let _ = write!(out, "Connection: close\r\n\r\n{}", self.body);
+        out.push_str("Connection: close\r\n\r\n");
         out
     }
 
-    /// Write the response to a stream (one `write_all` of
-    /// [`Response::to_bytes`]).
-    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
-        stream.write_all(&self.to_bytes())
+    /// The whole response — status line, headers, body — copied into one
+    /// buffer: exactly the bytes [`write_to`](Self::write_to) sends.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        [self.head().as_bytes(), self.body.as_bytes()].concat()
+    }
+
+    /// Write the response: head and body in one vectored write, with no
+    /// copy of the body, repeated only for whatever a short write left
+    /// over. One write matters as much as no copy: the server does not
+    /// set `TCP_NODELAY`, so a body sent in a second small write could
+    /// wait behind the unacknowledged head segment (Nagle's algorithm
+    /// against the peer's delayed ACK). A write that fails part-way is
+    /// an error, never a silently truncated response.
+    pub fn write_to(&self, stream: &mut (impl Write + ?Sized)) -> io::Result<()> {
+        let head = self.head();
+        let mut slices = [
+            IoSlice::new(head.as_bytes()),
+            IoSlice::new(self.body.as_bytes()),
+        ];
+        let mut bufs = &mut slices[..];
+        while bufs.iter().any(|b| !b.is_empty()) {
+            match stream.write_vectored(bufs) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "connection accepted no more of the response",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -517,5 +545,56 @@ mod tests {
         assert!(String::from_utf8(out)
             .unwrap()
             .starts_with("HTTP/1.1 408 Request Timeout\r\n"));
+    }
+
+    /// A writer taking at most `step` bytes per call (0 = refuse), after
+    /// failing its first call with `Interrupted`.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls == 1 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let body = "x".repeat(1000) + "end";
+        for response in [
+            Response::status(200).body(body),
+            Response::status(404),
+            Response::status(503)
+                .header("Retry-After", "2")
+                .body("busy"),
+        ] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                step: 7,
+                calls: 0,
+            };
+            response.write_to(&mut w).unwrap();
+            assert_eq!(w.out, response.to_bytes());
+            let mut refusing = Trickle {
+                out: Vec::new(),
+                step: 0,
+                calls: 0,
+            };
+            let err = response.write_to(&mut refusing).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        }
     }
 }

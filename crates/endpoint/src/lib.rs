@@ -41,5 +41,5 @@ pub use http::{parse_request, url_decode, url_encode, Request, Response};
 pub use net::{BufConn, Conn};
 #[cfg(feature = "fault-inject")]
 pub use net::{FaultConn, NetFaultKind};
-pub use results::{solutions_to_json, solutions_to_tsv, JsonRowsWriter, TsvRowsWriter};
+pub use results::{JsonRowsWriter, TsvRowsWriter};
 pub use server::{Endpoint, ServerConfig, ShutdownSignal};

@@ -9,7 +9,7 @@
 //! writes, mid-response resets and stalls at deterministic points —
 //! the network-side sibling of `provbench_core`'s `FaultFs`.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -69,6 +69,10 @@ impl Read for BufConn {
 impl Write for BufConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.output.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.output.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -132,7 +136,7 @@ pub use fault::{FaultConn, NetFaultKind};
 #[cfg(feature = "fault-inject")]
 mod fault {
     use super::Conn;
-    use std::io::{self, Read, Write};
+    use std::io::{self, IoSlice, Read, Write};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
@@ -277,12 +281,25 @@ mod fault {
 
     impl<C: Conn> Write for FaultConn<C> {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        /// One op, like the single `writev(2)` it stands for.
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
             match self.fault() {
-                // Half the buffer reaches the wire, then the pipe
-                // breaks — the torn-response case partial-write
-                // detection exists for.
+                // Half the bytes reach the wire, then the pipe breaks —
+                // the torn-response case partial-write detection exists
+                // for.
                 Some(NetFaultKind::ShortWrite) => {
-                    let _ = self.inner.write(&buf[..buf.len() / 2]);
+                    let mut half = bufs.iter().map(|b| b.len()).sum::<usize>() / 2;
+                    for buf in bufs {
+                        let n = half.min(buf.len());
+                        if n == 0 {
+                            break;
+                        }
+                        let _ = self.inner.write(&buf[..n]);
+                        half -= n;
+                    }
                     Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
                         "injected fault: connection broke mid-write",
@@ -290,7 +307,7 @@ mod fault {
                 }
                 Some(NetFaultKind::Stall) => Err(stall("write")),
                 Some(NetFaultKind::ShortRead) | Some(NetFaultKind::Reset) => Err(reset("write")),
-                None => self.inner.write(buf),
+                None => self.inner.write_vectored(bufs),
             }
         }
 

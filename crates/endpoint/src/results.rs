@@ -1,13 +1,12 @@
 //! SPARQL 1.1 Query Results serialization: the standard JSON format and
 //! a tab-separated text format for command-line use.
 //!
-//! Both formats have an incremental writer ([`JsonRowsWriter`],
-//! [`TsvRowsWriter`]) fed one row at a time from a streaming
-//! [`provbench_query::Rows`] iterator; the batch `solutions_to_*`
-//! functions are thin drains over them, so streamed and materialized
-//! serializations are byte-identical by construction.
+//! Both formats have one incremental writer ([`JsonRowsWriter`],
+//! [`TsvRowsWriter`]), fed one row at a time. A row is positional — one
+//! borrowed term per variable, as [`provbench_query::Rows`] lends them
+//! — or, through the `push` adapters, a decoded [`Bindings`] map.
 
-use provbench_query::{Bindings, Solutions};
+use provbench_query::Bindings;
 use provbench_rdf::Term;
 use std::fmt::Write;
 
@@ -63,11 +62,14 @@ fn term_to_json(term: &Term, out: &mut String) {
 }
 
 /// Incremental `application/sparql-results+json` serializer: the
-/// header is written at construction, each [`push`](Self::push) appends
-/// one binding row, and [`finish`](Self::finish) closes the document.
+/// header is written at construction, each [`push_row`](Self::push_row)
+/// appends one binding row, and [`finish`](Self::finish) closes the
+/// document.
 pub struct JsonRowsWriter {
     out: String,
     variables: Vec<String>,
+    /// Each variable's escaped `"name":` member prefix.
+    keys: Vec<String>,
     rows: usize,
 }
 
@@ -75,43 +77,52 @@ impl JsonRowsWriter {
     /// Start a result document projecting `variables`.
     pub fn new(variables: &[String]) -> Self {
         let mut out = String::from("{\"head\":{\"vars\":[");
+        let mut keys = Vec::with_capacity(variables.len());
         for (i, v) in variables.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            json_escape(v, &mut out);
-            out.push('"');
+            let mut key = String::from("\"");
+            json_escape(v, &mut key);
+            key.push('"');
+            out.push_str(&key);
+            key.push(':');
+            keys.push(key);
         }
         out.push_str("]},\"results\":{\"bindings\":[");
         JsonRowsWriter {
             out,
             variables: variables.to_vec(),
+            keys,
             rows: 0,
         }
     }
 
-    /// Append one solution row.
-    pub fn push(&mut self, row: &Bindings) {
+    /// Append one solution row: one term per variable, in the order the
+    /// writer was created with (`None` = unbound, left out).
+    pub fn push_row(&mut self, row: &[Option<&Term>]) {
         if self.rows > 0 {
             self.out.push(',');
         }
         self.rows += 1;
         self.out.push('{');
         let mut first = true;
-        for v in &self.variables {
-            if let Some(term) = row.get(v) {
+        for (key, term) in self.keys.iter().zip(row) {
+            if let Some(term) = term {
                 if !first {
                     self.out.push(',');
                 }
                 first = false;
-                self.out.push('"');
-                json_escape(v, &mut self.out);
-                self.out.push_str("\":");
+                self.out.push_str(key);
                 term_to_json(term, &mut self.out);
             }
         }
         self.out.push('}');
+    }
+
+    /// Append one solution row given by variable name.
+    pub fn push(&mut self, row: &Bindings) {
+        self.push_row(&cells(&self.variables, row));
     }
 
     /// Rows pushed so far.
@@ -131,8 +142,13 @@ impl JsonRowsWriter {
     }
 }
 
+/// `row`'s terms in `variables` order.
+fn cells<'a>(variables: &[String], row: &'a Bindings) -> Vec<Option<&'a Term>> {
+    variables.iter().map(|v| row.get(v)).collect()
+}
+
 /// Incremental tab-separated serializer: header line at construction,
-/// one line per [`push`](Self::push).
+/// one line per [`push_row`](Self::push_row).
 pub struct TsvRowsWriter {
     out: String,
     variables: Vec<String>,
@@ -151,19 +167,25 @@ impl TsvRowsWriter {
         }
     }
 
-    /// Append one solution row (unbound variables serialize empty).
-    pub fn push(&mut self, row: &Bindings) {
+    /// Append one solution row: one term per variable, in the order the
+    /// writer was created with (`None` = unbound, serialized empty).
+    pub fn push_row(&mut self, row: &[Option<&Term>]) {
         self.rows += 1;
-        for (i, v) in self.variables.iter().enumerate() {
+        for (i, term) in row.iter().enumerate() {
             if i > 0 {
                 self.out.push('\t');
             }
-            if let Some(t) = row.get(v) {
+            if let Some(t) = term {
                 // Writing into a `String` cannot fail.
                 let _ = write!(self.out, "{t}");
             }
         }
         self.out.push('\n');
+    }
+
+    /// Append one solution row given by variable name.
+    pub fn push(&mut self, row: &Bindings) {
+        self.push_row(&cells(&self.variables, row));
     }
 
     /// Rows pushed so far.
@@ -182,60 +204,59 @@ impl TsvRowsWriter {
     }
 }
 
-/// Serialize solutions as `application/sparql-results+json`: a drain of
-/// [`JsonRowsWriter`], so it matches streamed serialization byte for
-/// byte.
-pub fn solutions_to_json(solutions: &Solutions) -> String {
-    let mut w = JsonRowsWriter::new(&solutions.variables);
-    for row in &solutions.rows {
-        w.push(row);
-    }
-    w.finish()
-}
-
-/// Serialize solutions as a tab-separated table (header + rows): a
-/// drain of [`TsvRowsWriter`].
-pub fn solutions_to_tsv(solutions: &Solutions) -> String {
-    let mut w = TsvRowsWriter::new(&solutions.variables);
-    for row in &solutions.rows {
-        w.push(row);
-    }
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use provbench_query::QueryEngine;
-    use provbench_rdf::parse_turtle;
+    use provbench_query::{QueryEngine, Solutions};
+    use provbench_rdf::{parse_turtle, Graph};
 
-    fn solutions() -> Solutions {
-        let (g, _) = parse_turtle(
+    const QUERY: &str = "PREFIX e: <http://e/> SELECT ?p ?o ?none WHERE { ?s ?p ?o } ORDER BY ?p";
+
+    fn graph() -> Graph {
+        parse_turtle(
             r#"@prefix e: <http://e/> .
                e:s e:p "va\"l" ; e:q "fr"@fr ; e:r 42 ."#,
         )
-        .unwrap();
-        QueryEngine::new(&g)
-            .prepare("PREFIX e: <http://e/> SELECT ?p ?o WHERE { ?s ?p ?o } ORDER BY ?p")
+        .unwrap()
+        .0
+    }
+
+    fn solutions() -> Solutions {
+        QueryEngine::new(&graph())
+            .prepare(QUERY)
             .unwrap()
             .select()
             .unwrap()
     }
 
+    fn json_of(s: &Solutions) -> String {
+        let mut w = JsonRowsWriter::new(&s.variables);
+        s.rows.iter().for_each(|row| w.push(row));
+        w.finish()
+    }
+
+    fn tsv_of(s: &Solutions) -> String {
+        let mut w = TsvRowsWriter::new(&s.variables);
+        s.rows.iter().for_each(|row| w.push(row));
+        w.finish()
+    }
+
     #[test]
     fn json_has_head_and_bindings() {
-        let json = solutions_to_json(&solutions());
-        assert!(json.starts_with("{\"head\":{\"vars\":[\"p\",\"o\"]}"));
+        let json = json_of(&solutions());
+        assert!(json.starts_with("{\"head\":{\"vars\":[\"p\",\"o\",\"none\"]}"));
         assert!(json.contains("\"type\":\"uri\""));
         assert!(json.contains("\"type\":\"literal\""));
         assert!(json.contains("\\\"")); // escaped quote in va"l
         assert!(json.contains("\"xml:lang\":\"fr\""));
         assert!(json.contains("XMLSchema#integer"));
+        // Unbound variables are left out of their binding object.
+        assert!(!json.contains("\"none\":"));
     }
 
     #[test]
     fn json_is_structurally_balanced() {
-        let json = solutions_to_json(&solutions());
+        let json = json_of(&solutions());
         // Rough structural check without a JSON parser: balanced braces
         // and brackets outside strings.
         let mut depth = 0i32;
@@ -266,25 +287,31 @@ mod tests {
     #[test]
     fn tsv_rows_match() {
         let s = solutions();
-        let tsv = solutions_to_tsv(&s);
+        let tsv = tsv_of(&s);
         assert_eq!(tsv.lines().count(), 1 + s.len());
-        assert!(tsv.starts_with("p\to\n"));
+        assert!(tsv.starts_with("p\to\tnone\n"));
+        // The unbound last column serializes empty.
+        assert!(tsv.lines().skip(1).all(|line| line.ends_with('\t')));
     }
 
     #[test]
-    fn incremental_writers_match_batch() {
-        let s = solutions();
-        let mut jw = JsonRowsWriter::new(&s.variables);
-        let mut tw = TsvRowsWriter::new(&s.variables);
+    fn borrowed_rows_serialize_like_named_rows() {
+        let g = graph();
+        let prepared = QueryEngine::new(&g).prepare(QUERY).unwrap();
+        let mut rows = prepared.rows().unwrap();
+        let mut jw = JsonRowsWriter::new(rows.variables());
+        let mut tw = TsvRowsWriter::new(rows.variables());
         assert!(jw.is_empty() && tw.is_empty());
-        for row in &s.rows {
-            jw.push(row);
-            tw.push(row);
-        }
+        rows.try_for_each_row(|row| {
+            jw.push_row(row);
+            tw.push_row(row);
+        })
+        .unwrap();
+        let s = solutions();
         assert_eq!(jw.len(), s.len());
         assert_eq!(tw.len(), s.len());
-        assert_eq!(jw.finish(), solutions_to_json(&s));
-        assert_eq!(tw.finish(), solutions_to_tsv(&s));
+        assert_eq!(jw.finish(), json_of(&s));
+        assert_eq!(tw.finish(), tsv_of(&s));
     }
 
     #[test]
@@ -294,9 +321,9 @@ mod tests {
             rows: vec![],
         };
         assert_eq!(
-            solutions_to_json(&s),
+            json_of(&s),
             "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[]}}"
         );
-        assert_eq!(solutions_to_tsv(&s), "x\n");
+        assert_eq!(tsv_of(&s), "x\n");
     }
 }

@@ -865,29 +865,25 @@ impl Endpoint {
         let prepared = engine.prepare_parsed(plan);
         let want_tsv =
             request.param("format") == Some("tsv") || request.accepts("text/tab-separated-values");
-        // Serialize incrementally from the streaming row iterator:
-        // each row goes straight into the serialized buffer instead of
-        // materializing the whole solution set first, and `LIMIT`ed
-        // queries stop evaluating once the limit is reached. The
-        // status line is still decided only after the stream finishes,
-        // so a mid-stream deadline or row-budget trip yields a clean
-        // 408 under the existing write-timeout machinery — never a
+        // Serialize incrementally from the row stream: each row's terms,
+        // borrowed from the graph, go straight into the serialized
+        // buffer instead of materializing the solution set first, and
+        // `LIMIT`ed queries stop evaluating once the limit is reached.
+        // The status line is still decided only after the stream
+        // finishes, so a mid-stream deadline or row-budget trip yields a
+        // clean 408 under the existing write-timeout machinery — never a
         // truncated 200.
         let result = (|| -> Result<Response, QueryError> {
             let mut rows = prepared.rows()?;
             Ok(if want_tsv {
                 let mut writer = TsvRowsWriter::new(rows.variables());
-                for row in &mut rows {
-                    writer.push(&row?);
-                }
+                rows.try_for_each_row(|row| writer.push_row(row))?;
                 Response::status(200)
                     .content_type("text/tab-separated-values")
                     .body(writer.finish())
             } else {
                 let mut writer = JsonRowsWriter::new(rows.variables());
-                for row in &mut rows {
-                    writer.push(&row?);
-                }
+                rows.try_for_each_row(|row| writer.push_row(row))?;
                 Response::status(200)
                     .content_type("application/sparql-results+json")
                     .body(writer.finish())
@@ -1006,9 +1002,7 @@ SELECT ?run ?start WHERE {{
                     .content_type("application/json")
                     .body("{\"error\":\"timeout\",\"message\":\"request not received within the read-timeout budget\"}");
                 self.record_request("other", "other", 408, start.elapsed());
-                let _ = conn
-                    .write_all(&response.to_bytes())
-                    .and_then(|()| conn.flush());
+                let _ = response.write_to(conn).and_then(|()| conn.flush());
                 self.record_conn("read_timeout")
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -1020,13 +1014,11 @@ SELECT ?run ?start WHERE {{
         }
     }
 
-    /// Write a response as one buffer so truncation is an error, not a
-    /// torn response; record the connection outcome.
+    /// Write a response (one vectored write of head and body, see
+    /// [`Response::write_to`]) so truncation is an error, not a torn
+    /// response; record the connection outcome.
     fn write_response(&self, conn: &mut dyn Conn, response: &Response) -> &'static str {
-        match conn
-            .write_all(&response.to_bytes())
-            .and_then(|()| conn.flush())
-        {
+        match response.write_to(conn).and_then(|()| conn.flush()) {
             Ok(()) => self.record_conn("ok"),
             Err(_) => self.record_conn("write_error"),
         }
@@ -1049,9 +1041,7 @@ SELECT ?run ?start WHERE {{
             .with_retry_after(Response::status(503))
             .body("server busy, retry later");
         self.record_request(method, route, 503, start.elapsed());
-        let _ = conn
-            .write_all(&response.to_bytes())
-            .and_then(|()| conn.flush());
+        let _ = response.write_to(conn).and_then(|()| conn.flush());
         self.record_conn("rejected");
     }
 
@@ -1266,9 +1256,13 @@ mod tests {
                 .select()
                 .unwrap();
             let golden = if format.is_empty() {
-                crate::results::solutions_to_json(&solutions)
+                let mut w = JsonRowsWriter::new(&solutions.variables);
+                solutions.rows.iter().for_each(|row| w.push(row));
+                w.finish()
             } else {
-                crate::results::solutions_to_tsv(&solutions)
+                let mut w = TsvRowsWriter::new(&solutions.variables);
+                solutions.rows.iter().for_each(|row| w.push(row));
+                w.finish()
             };
             assert_eq!(r.body, golden);
         }
@@ -1905,6 +1899,68 @@ mod tests {
 
     /// Satellite: a socket whose options cannot be set is closed and
     /// counted, never served with unbounded timeouts.
+    /// A connection that takes every byte offered and counts the write
+    /// calls it took them in.
+    struct CountingConn {
+        input: io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Read for CountingConn {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for CountingConn {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let before = self.output.len();
+            bufs.iter().for_each(|b| self.output.extend_from_slice(b));
+            Ok(self.output.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn for CountingConn {
+        fn set_read_timeout(&mut self, _t: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_write_timeout(&mut self, _t: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_response_goes_out_in_one_write() {
+        let triples: String = (0..5000)
+            .map(|i| format!("<http://e/s{i}> <http://e/p> \"value {i}\" .\n"))
+            .collect();
+        let (g, _) = parse_turtle(&triples).unwrap();
+        let ep = Endpoint::with_config(g, ServerConfig::new().registry(Arc::new(Registry::new())));
+        let q = crate::http::url_encode("SELECT ?s ?o WHERE { ?s ?p ?o }");
+        for format in ["", "&format=tsv"] {
+            let raw = format!("GET /sparql?query={q}{format} HTTP/1.1\r\n\r\n");
+            let expected = ep.handle(&request(&raw));
+            assert_eq!(expected.status, 200);
+            assert!(expected.body.len() > 100_000, "{}", expected.body.len());
+            let mut conn = CountingConn {
+                input: io::Cursor::new(raw.into_bytes()),
+                output: Vec::new(),
+                writes: 0,
+            };
+            assert_eq!(ep.serve_conn(&mut conn), "ok");
+            assert_eq!(conn.writes, 1, "head and body in one write call");
+            assert!(conn.output == expected.to_bytes(), "bytes differ");
+        }
+    }
+
     #[test]
     fn socket_option_failure_closes_connection_and_counts() {
         use crate::net::Conn;

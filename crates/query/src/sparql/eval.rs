@@ -883,9 +883,9 @@ pub(crate) fn apply_aggregates(
         for (agg, &col) in aggregates.iter().zip(&agg_cols) {
             row[col] = match (agg.function, agg.var) {
                 (AggregateFn::Count, None) => computed.intern(count(members.len())),
-                (AggregateFn::Count, Some(slot)) => computed.intern(count(
-                    members.iter().filter(|m| m[slot] != UNBOUND).count(),
-                )),
+                (AggregateFn::Count, Some(slot)) => {
+                    computed.intern(count(members.iter().filter(|m| m[slot] != UNBOUND).count()))
+                }
                 (AggregateFn::CountDistinct, Some(slot)) => {
                     let distinct: BTreeSet<u32> = members
                         .iter()
@@ -1158,19 +1158,24 @@ mod tests {
 
     #[test]
     fn order_by_a_variable_outside_the_projection() {
-        let (g, _) = parse_turtle(
-            "@prefix e: <http://e/> . e:a e:rank 3 . e:b e:rank 1 . e:c e:rank 2 .",
-        )
-        .unwrap();
+        let (g, _) =
+            parse_turtle("@prefix e: <http://e/> . e:a e:rank 3 . e:b e:rank 1 . e:c e:rank 2 .")
+                .unwrap();
         let subjects = |q: &str| -> Vec<String> {
             let s = run(&g, &parse_query(q).unwrap(), &EvalOptions::default()).unwrap();
             assert_eq!(s.variables, ["s"]);
             s.rows.iter().map(|r| r["s"].to_string()).collect()
         };
         let asc = "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:rank ?r } ORDER BY ?r";
-        assert_eq!(subjects(asc), ["<http://e/b>", "<http://e/c>", "<http://e/a>"]);
+        assert_eq!(
+            subjects(asc),
+            ["<http://e/b>", "<http://e/c>", "<http://e/a>"]
+        );
         let desc = "PREFIX e: <http://e/> SELECT ?s WHERE { ?s e:rank ?r } ORDER BY DESC(?r)";
-        assert_eq!(subjects(desc), ["<http://e/a>", "<http://e/c>", "<http://e/b>"]);
+        assert_eq!(
+            subjects(desc),
+            ["<http://e/a>", "<http://e/c>", "<http://e/b>"]
+        );
         // The key orders before DISTINCT and LIMIT apply.
         let top = "PREFIX e: <http://e/> SELECT DISTINCT ?s WHERE { ?s e:rank ?r } \
                    ORDER BY DESC(?r) LIMIT 1";

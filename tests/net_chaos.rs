@@ -279,3 +279,62 @@ fn seeded_schedules_replay_identically() {
         assert_eq!(a.inner().output(), b.inner().output(), "seed {seed}");
     }
 }
+
+/// A large response meets short writes: head and body go out in one
+/// vectored write, and a write the connection breaks in the middle of
+/// leaves the response either delivered whole or counted as a
+/// `write_error`. The bytes that did go out are always a prefix of the
+/// response.
+#[test]
+fn short_writes_deliver_a_large_response_whole_or_count_a_write_error() {
+    let triples: String = (0..2000)
+        .map(|i| format!("<http://e/s{i}> <http://e/p> \"value {i}\" .\n"))
+        .collect();
+    let (g, _) = parse_turtle(&triples).unwrap();
+    let ep = Endpoint::with_config(g, ServerConfig::new().registry(Arc::new(Registry::new())));
+    let q = provbench::endpoint::url_encode("SELECT ?s ?o WHERE { ?s ?p ?o }");
+    let raw = format!("GET /sparql?query={q} HTTP/1.1\r\nHost: t\r\n\r\n").into_bytes();
+    let (outcome, _, baseline) = drive(
+        &ep,
+        &raw,
+        |c| FaultConn::fail_nth(c, NetFaultKind::ShortWrite, usize::MAX),
+        "baseline",
+    );
+    assert_eq!(outcome, "ok");
+    assert_well_formed(&baseline, "baseline");
+    assert!(baseline.len() > 50_000, "{}", baseline.len());
+
+    let check = |outcome: &str, output: &[u8], context: &str| match outcome {
+        "ok" => assert_eq!(output, baseline, "{context}"),
+        "write_error" => assert!(
+            output.len() < baseline.len() && baseline.starts_with(output),
+            "{context}: {} bytes out, not a prefix of the response",
+            output.len()
+        ),
+        // A request that never arrived whole gets no result: at most
+        // an attempted 408.
+        _ => assert!(
+            !output.starts_with(b"HTTP/1.1 200"),
+            "{context}: {outcome} yet a result went out"
+        ),
+    };
+    let mut torn = 0;
+    for op in 0..clean_ops(&ep, &raw) {
+        let context = format!("short write @ op {op}");
+        let (outcome, _, output) = drive(
+            &ep,
+            &raw,
+            |c| FaultConn::fail_nth(c, NetFaultKind::ShortWrite, op),
+            &context,
+        );
+        check(outcome, &output, &context);
+        torn += usize::from(outcome == "write_error" && !output.is_empty());
+    }
+    assert_eq!(torn, 1, "exactly one op writes the response");
+    for seed in 1..=40u64 {
+        let context = format!("seed {seed}");
+        let (outcome, _, output) = drive(&ep, &raw, |c| FaultConn::seeded(c, seed, 3), &context);
+        check(outcome, &output, &context);
+    }
+    assert_eq!(ep.panics_total(), 0);
+}
