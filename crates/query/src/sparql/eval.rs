@@ -787,17 +787,20 @@ impl<'g> ComputedTerms<'g> {
         }
     }
 
-    fn intern(&mut self, term: Term) -> u32 {
+    fn intern(&mut self, term: Term) -> Result<u32, QueryError> {
         if let Some(id) = self.graph.term_to_id(&term) {
-            return id.to_u32();
+            return Ok(id.to_u32());
         }
         if let Some(&id) = self.index.get(&term) {
-            return id;
+            return Ok(id);
         }
-        let id = (self.graph.term_count() + self.terms.len()) as u32;
+        let id = u32::try_from(self.graph.term_count() + self.terms.len())
+            .ok()
+            .filter(|&id| id != UNBOUND)
+            .ok_or_else(|| QueryError::Eval("too many distinct aggregate values".into()))?;
         self.terms.push(term.clone());
         self.index.insert(term, id);
-        id
+        Ok(id)
     }
 
     /// The computed terms, indexed by id minus the graph's term count.
@@ -882,9 +885,9 @@ pub(crate) fn apply_aggregates(
         }
         for (agg, &col) in aggregates.iter().zip(&agg_cols) {
             row[col] = match (agg.function, agg.var) {
-                (AggregateFn::Count, None) => computed.intern(count(members.len())),
+                (AggregateFn::Count, None) => computed.intern(count(members.len()))?,
                 (AggregateFn::Count, Some(slot)) => {
-                    computed.intern(count(members.iter().filter(|m| m[slot] != UNBOUND).count()))
+                    computed.intern(count(members.iter().filter(|m| m[slot] != UNBOUND).count()))?
                 }
                 (AggregateFn::CountDistinct, Some(slot)) => {
                     let distinct: BTreeSet<u32> = members
@@ -892,7 +895,7 @@ pub(crate) fn apply_aggregates(
                         .map(|m| m[slot])
                         .filter(|&raw| raw != UNBOUND)
                         .collect();
-                    computed.intern(count(distinct.len()))
+                    computed.intern(count(distinct.len()))?
                 }
                 (AggregateFn::Min | AggregateFn::Max, Some(slot)) => {
                     let mut best: Option<(u32, &Term)> = None;
