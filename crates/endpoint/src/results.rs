@@ -101,28 +101,18 @@ impl JsonRowsWriter {
     /// Append one solution row: one term per variable, in the order the
     /// writer was created with (`None` = unbound, left out).
     pub fn push_row(&mut self, row: &[Option<&Term>]) {
-        if self.rows > 0 {
-            self.out.push(',');
-        }
-        self.rows += 1;
-        self.out.push('{');
-        let mut first = true;
-        for (key, term) in self.keys.iter().zip(row) {
-            if let Some(term) = term {
-                if !first {
-                    self.out.push(',');
-                }
-                first = false;
-                self.out.push_str(key);
-                term_to_json(term, &mut self.out);
-            }
-        }
-        self.out.push('}');
+        json_row(
+            &mut self.out,
+            &mut self.rows,
+            &self.keys,
+            row.iter().copied(),
+        );
     }
 
     /// Append one solution row given by variable name.
     pub fn push(&mut self, row: &Bindings) {
-        self.push_row(&cells(&self.variables, row));
+        let cells = self.variables.iter().map(|v| row.get(v));
+        json_row(&mut self.out, &mut self.rows, &self.keys, cells);
     }
 
     /// Rows pushed so far.
@@ -142,9 +132,46 @@ impl JsonRowsWriter {
     }
 }
 
-/// `row`'s terms in `variables` order.
-fn cells<'a>(variables: &[String], row: &'a Bindings) -> Vec<Option<&'a Term>> {
-    variables.iter().map(|v| row.get(v)).collect()
+/// Append one binding object: a member per bound cell, keyed by the
+/// variable's prefix in `keys`.
+fn json_row<'t>(
+    out: &mut String,
+    rows: &mut usize,
+    keys: &[String],
+    cells: impl Iterator<Item = Option<&'t Term>>,
+) {
+    if *rows > 0 {
+        out.push(',');
+    }
+    *rows += 1;
+    out.push('{');
+    let mut first = true;
+    for (key, term) in keys.iter().zip(cells) {
+        if let Some(term) = term {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push_str(key);
+            term_to_json(term, out);
+        }
+    }
+    out.push('}');
+}
+
+/// Append one tab-separated line, unbound cells empty.
+fn tsv_row<'t>(out: &mut String, rows: &mut usize, cells: impl Iterator<Item = Option<&'t Term>>) {
+    *rows += 1;
+    for (i, term) in cells.enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        if let Some(t) = term {
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{t}");
+        }
+    }
+    out.push('\n');
 }
 
 /// Incremental tab-separated serializer: header line at construction,
@@ -170,22 +197,13 @@ impl TsvRowsWriter {
     /// Append one solution row: one term per variable, in the order the
     /// writer was created with (`None` = unbound, serialized empty).
     pub fn push_row(&mut self, row: &[Option<&Term>]) {
-        self.rows += 1;
-        for (i, term) in row.iter().enumerate() {
-            if i > 0 {
-                self.out.push('\t');
-            }
-            if let Some(t) = term {
-                // Writing into a `String` cannot fail.
-                let _ = write!(self.out, "{t}");
-            }
-        }
-        self.out.push('\n');
+        tsv_row(&mut self.out, &mut self.rows, row.iter().copied());
     }
 
     /// Append one solution row given by variable name.
     pub fn push(&mut self, row: &Bindings) {
-        self.push_row(&cells(&self.variables, row));
+        let cells = self.variables.iter().map(|v| row.get(v));
+        tsv_row(&mut self.out, &mut self.rows, cells);
     }
 
     /// Rows pushed so far.
