@@ -294,9 +294,6 @@ mod fault {
                     let mut half = bufs.iter().map(|b| b.len()).sum::<usize>() / 2;
                     for buf in bufs {
                         let n = half.min(buf.len());
-                        if n == 0 {
-                            break;
-                        }
                         let _ = self.inner.write(&buf[..n]);
                         half -= n;
                     }
